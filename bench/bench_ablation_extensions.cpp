@@ -16,8 +16,7 @@
 #include "bench/util.h"
 #include "core/deviation_placer.h"
 #include "geo/spatial_index.h"
-#include "ml/gru.h"
-#include "ml/lstm.h"
+#include "ml/factory.h"
 #include "ml/moving_average.h"
 #include "ml/seasonal_naive.h"
 #include "privacy/privacy.h"
@@ -61,45 +60,31 @@ int main() {
   std::cout << "\n(b) alternative prediction engines (hourly weekday demand)\n";
   const auto series = bench::make_demand_series(28, 2017);
   const auto [train, test] = ml::split(series.weekday, 0.75);
-  std::cout << bench::cell("model", 26) << bench::cell("RMSE", 10) << '\n';
-  bench::print_rule(36);
-  {
-    ml::LstmConfig cfg;
-    cfg.layers = 2;
-    cfg.hidden = 24;
-    cfg.lookback = 12;
-    cfg.epochs = 15;
-    cfg.seed = 42;
-    ml::LstmForecaster lstm(cfg);
-    lstm.fit(train);
-    std::cout << bench::cell(lstm.name(), 26)
-              << bench::cell(ml::evaluate_rmse(lstm, train, test), 10, 1)
-              << '\n';
-  }
-  {
-    ml::GruConfig cfg;
-    cfg.layers = 2;
-    cfg.hidden = 24;
-    cfg.lookback = 12;
-    cfg.epochs = 15;
-    cfg.seed = 42;
-    ml::GruForecaster gru(cfg);
-    gru.fit(train);
-    std::cout << bench::cell(gru.name(), 26)
-              << bench::cell(ml::evaluate_rmse(gru, train, test), 10, 1)
+  std::cout << bench::cell("model", 40) << bench::cell("RMSE", 10) << '\n';
+  bench::print_rule(50);
+  for (const char* name : {"lstm", "gru"}) {
+    ml::ForecasterSpec spec;
+    spec.layers = 2;
+    spec.hidden = 24;
+    spec.lookback = 12;
+    spec.seed = 42;
+    const auto model = ml::make_forecaster(name, spec);
+    model->fit(train);
+    std::cout << bench::cell(model->name(), 40)
+              << bench::cell(ml::evaluate_rmse(*model, train, test), 10, 1)
               << '\n';
   }
   {
     ml::SeasonalNaiveForecaster sn(24);
     sn.fit(train);
-    std::cout << bench::cell(sn.name(), 26)
+    std::cout << bench::cell(sn.name(), 40)
               << bench::cell(ml::evaluate_rmse(sn, train, test), 10, 1)
               << '\n';
   }
   {
     ml::MovingAverageForecaster ma(1);
     ma.fit(train);
-    std::cout << bench::cell(ma.name(), 26)
+    std::cout << bench::cell(ma.name(), 40)
               << bench::cell(ml::evaluate_rmse(ma, train, test), 10, 1)
               << '\n';
   }

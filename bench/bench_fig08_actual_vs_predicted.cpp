@@ -9,7 +9,7 @@
 
 #include "bench/prediction_data.h"
 #include "bench/util.h"
-#include "ml/lstm.h"
+#include "ml/factory.h"
 #include "stats/summary.h"
 
 using namespace esharing;
@@ -25,15 +25,14 @@ void run_day_type(const char* label, const ml::Series& series,
                                           24, static_cast<std::ptrdiff_t>(
                                                   test_full.size())));
 
-  ml::LstmConfig cfg;
-  cfg.layers = 2;
-  cfg.hidden = 24;
-  cfg.lookback = 12;
-  cfg.epochs = 25;
-  cfg.seed = seed;
-  ml::LstmForecaster lstm(cfg);
-  lstm.fit(train);
-  const auto preds = ml::rolling_predictions(lstm, train, test);
+  ml::ForecasterSpec spec;
+  spec.layers = 2;
+  spec.hidden = 24;
+  spec.lookback = 12;
+  spec.seed = seed;
+  const auto lstm = ml::make_forecaster("lstm", spec);
+  lstm->fit(train);
+  const auto preds = ml::rolling_predictions(*lstm, train, test);
 
   std::cout << '\n' << label << " (one test day, hourly):\n";
   std::cout << bench::cell("hour", 6) << bench::cell("actual", 10)

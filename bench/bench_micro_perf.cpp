@@ -10,7 +10,7 @@
 #include "bench/util.h"
 #include "core/deviation_placer.h"
 #include "geo/spatial_index.h"
-#include "ml/lstm.h"
+#include "ml/batch.h"
 #include "solver/jms_greedy.h"
 #include "solver/meyerson.h"
 #include "solver/reference.h"
@@ -142,20 +142,22 @@ void BM_TspHeuristic(benchmark::State& state) {
 }
 BENCHMARK(BM_TspHeuristic)->Arg(20)->Arg(50);
 
+/// One training sample: forward + BPTT of a single window through the
+/// batched engine (a batch of one).
 void BM_LstmTrainingSample(benchmark::State& state) {
-  ml::LstmConfig cfg;
+  ml::batch::BatchRnnConfig cfg;
   cfg.layers = 2;
   cfg.hidden = 24;
   cfg.lookback = 12;
-  ml::LstmForecaster lstm(cfg);
+  const ml::batch::BatchRnn lstm(cfg);
   stats::Rng rng(11);
-  ml::Window w;
+  std::vector<ml::Window> windows(1);
   for (std::size_t i = 0; i < cfg.lookback; ++i) {
-    w.input.push_back(rng.uniform(-1, 1));
+    windows[0].input.push_back(rng.uniform(-1, 1));
   }
-  w.target = 0.5;
+  windows[0].target = 0.5;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lstm.sample_gradient(w));
+    benchmark::DoNotOptimize(lstm.pooled_gradient(windows));
   }
 }
 BENCHMARK(BM_LstmTrainingSample);

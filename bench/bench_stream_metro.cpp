@@ -14,7 +14,8 @@
 ///   * 8 shards sustain >= 5x the single-shard event rate (lanes = 1, so
 ///     the win is algorithmic — sharded KS windows — not parallelism);
 ///   * 8 shards are not slower than 4 shards (the pre-fix exact-Peacock
-///     cliff made them ~2x slower; ks_peacock_limit now defaults to 0).
+///     cliff made them ~2x slower; the stream regime check is now always
+///     Fasano–Franceschini).
 ///
 /// ESHARING_METRO_EVENTS overrides the event count (CI smoke uses 30000).
 

@@ -13,12 +13,6 @@
 /// is therefore algorithmic, not parallelism: the replay runs with
 /// lanes = 1 and the numbers hold on a single core (bench_stream_metro
 /// covers the parallel lanes).
-///
-/// Two sweeps are printed: the legacy exact-KS configuration
-/// (ks_peacock_limit = 400, the pre-fix default) that pays the O((n+m)^3)
-/// Peacock path once shard windows shrink below the limit — the "8-shard
-/// cliff" — and the current default (always Fasano–Franeschini), which
-/// restores monotone scaling.
 
 #include <chrono>
 #include <cstdint>
@@ -80,8 +74,7 @@ struct RunResult {
   std::size_t stations{0};
 };
 
-RunResult run_shards(std::size_t shards, std::size_t peacock_limit,
-                     const std::vector<stream::Event>& log,
+RunResult run_shards(std::size_t shards, const std::vector<stream::Event>& log,
                      const std::vector<Point>& history) {
   esharing::core::ESharingConfig cfg;
   cfg.placer.ks_period = 0;  // the stream-side check replaces the full rescan
@@ -99,7 +92,6 @@ RunResult run_shards(std::size_t shards, std::size_t peacock_limit,
   pipe_cfg.placer.state.window_length = 200000;  // window spans the whole log
   pipe_cfg.placer.regime_check_period = 128;
   pipe_cfg.placer.regime_min_samples = 16;
-  pipe_cfg.placer.ks_peacock_limit = peacock_limit;
   pipe_cfg.lanes = 1;  // single-threaded: the scaling here is algorithmic
   stream::Pipeline pipeline(system, history, pipe_cfg);
 
@@ -120,8 +112,7 @@ RunResult run_shards(std::size_t shards, std::size_t peacock_limit,
   return out;
 }
 
-void sweep(const std::string& title, std::size_t peacock_limit,
-           const std::vector<stream::Event>& log,
+void sweep(const std::string& title, const std::vector<stream::Event>& log,
            const std::vector<Point>& history) {
   using esharing::bench::cell;
   using esharing::bench::fmt;
@@ -132,7 +123,7 @@ void sweep(const std::string& title, std::size_t peacock_limit,
   esharing::bench::print_rule(63);
   double base_rate = 0.0;
   for (std::size_t shards : {1, 2, 4, 8}) {
-    const RunResult r = run_shards(shards, peacock_limit, log, history);
+    const RunResult r = run_shards(shards, log, history);
     if (shards == 1) base_rate = r.events_per_s;
     std::cout << cell(static_cast<double>(shards), 8, 0)
               << cell(r.elapsed_ms, 12, 1)
@@ -154,22 +145,13 @@ int main() {
   const auto history = esharing::stats::uniform_points(
       rng, {{0.0, 0.0}, {kAreaM, kAreaM}}, kHistorySample);
 
-  sweep("esharing::stream shard scaling, legacy exact-KS path "
-        "(ks_peacock_limit = 400) — " + std::to_string(log.size()) +
+  sweep("esharing::stream shard scaling — " + std::to_string(log.size()) +
             " events",
-        400, log, history);
-  sweep("esharing::stream shard scaling, default FF-only path "
-        "(ks_peacock_limit = 0) — " + std::to_string(log.size()) +
-            " events",
-        0, log, history);
+        log, history);
 
   std::cout << "Each grid cell lives in exactly one shard, so shard "
                "windows and reference\nslices hold ~1/S of the points: the "
                "O(n^2) Fasano-Franceschini check gets\n~S^2 cheaper per "
-               "shard while total coverage is unchanged. The legacy table\n"
-               "shows the 8-shard cliff: windows below the exact-KS limit "
-               "trip the\nO((n+m)^3) Peacock path; the default keeps "
-               "Fasano-Franceschini at every\nsize and scaling stays "
-               "monotone.\n";
+               "shard while total coverage is unchanged.\n";
   return 0;
 }

@@ -188,7 +188,6 @@ MethodResult run_esharing(const PlpScenario& s, bool predicted,
     spec.layers = 2;
     spec.hidden = 16;
     spec.lookback = 12;
-    spec.epochs = 12;
     spec.seed = seed;
     const auto lstm = ml::make_forecaster("lstm", spec);
     lstm->fit(s.history_hourly);

@@ -43,7 +43,6 @@ int main() {
   spec.layers = 2;
   spec.hidden = 24;
   spec.lookback = 12;
-  spec.epochs = 25;
   spec.seed = 44;
   spec.ma_window = 3;
   spec.arima_p = 8;
@@ -57,7 +56,7 @@ int main() {
 
   std::cout << "\nrolling one-step RMSE over the test weeks:\n";
   for (const auto& model : models) {
-    std::cout << "  " << std::left << std::setw(24) << model->name()
+    std::cout << "  " << std::left << std::setw(40) << model->name()
               << std::right << std::fixed << std::setprecision(1)
               << ml::evaluate_rmse(*model, train, test) << '\n';
   }

@@ -8,8 +8,6 @@
 #include "exec/thread_pool.h"
 #include "ml/arima.h"
 #include "ml/batch.h"
-#include "ml/gru.h"
-#include "ml/lstm.h"
 #include "ml/moving_average.h"
 #include "ml/seasonal_naive.h"
 
@@ -24,35 +22,21 @@ bool is_rnn(ForecastEngine e) {
   return e == ForecastEngine::kLstm || e == ForecastEngine::kGru;
 }
 
-std::unique_ptr<ml::Forecaster> make_engine(const GridForecastConfig& cfg,
-                                            std::uint64_t cell_seed) {
-  switch (cfg.engine) {
+/// A per-cell model for the statistical engines (the recurrent ones share
+/// one batched model instead).
+std::unique_ptr<ml::Forecaster> make_engine(ForecastEngine engine) {
+  switch (engine) {
     case ForecastEngine::kSeasonalNaive:
       return std::make_unique<ml::SeasonalNaiveForecaster>(24);
     case ForecastEngine::kMovingAverage:
       return std::make_unique<ml::MovingAverageForecaster>(24);
     case ForecastEngine::kArima:
       return std::make_unique<ml::ArimaForecaster>(8, 0);
-    case ForecastEngine::kLstm: {
-      ml::LstmConfig lc;
-      lc.layers = 1;
-      lc.hidden = cfg.rnn_hidden;
-      lc.lookback = kRnnLookback;
-      lc.epochs = cfg.rnn_epochs;
-      lc.seed = cell_seed;
-      return std::make_unique<ml::LstmForecaster>(lc);
-    }
-    case ForecastEngine::kGru: {
-      ml::GruConfig gc;
-      gc.layers = 1;
-      gc.hidden = cfg.rnn_hidden;
-      gc.lookback = kRnnLookback;
-      gc.epochs = cfg.rnn_epochs;
-      gc.seed = cell_seed;
-      return std::make_unique<ml::GruForecaster>(gc);
-    }
+    case ForecastEngine::kLstm:
+    case ForecastEngine::kGru:
+      break;
   }
-  throw std::invalid_argument("forecast_grid_demand: unknown engine");
+  throw std::invalid_argument("forecast_grid_demand: no per-cell engine");
 }
 
 /// Non-negative horizon sum — negative hourly predictions are clamped
@@ -77,17 +61,12 @@ void GridForecastConfig::validate() const {
           "GridForecastConfig: rnn_hidden = " + std::to_string(rnn_hidden) +
           " is invalid: the recurrent engines need at least one hidden unit");
     }
-    if (rnn_epochs <= 0) {
-      throw std::invalid_argument(
-          "GridForecastConfig: rnn_epochs = " + std::to_string(rnn_epochs) +
-          " is invalid: per-cell training needs at least one epoch");
-    }
-    if (rnn_batch && rnn_batch_epochs <= 0) {
+    if (rnn_batch_epochs <= 0) {
       throw std::invalid_argument(
           "GridForecastConfig: rnn_batch_epochs = " +
           std::to_string(rnn_batch_epochs) +
-          " is invalid: the batched runtime needs at least one full-batch "
-          "Adam step (or set rnn_batch = false)");
+          " is invalid: the shared fit needs at least one full-batch Adam "
+          "step");
     }
   }
 }
@@ -136,7 +115,7 @@ GridForecast forecast_grid_demand(const data::DemandMatrix& history,
   // exceed the number of cells with any arrivals).
   const auto top = history.top_cells(config.top_cells);
   const auto horizon = static_cast<double>(config.horizon_hours);
-  std::vector<std::size_t> busy_cell, busy_rank;
+  std::vector<std::size_t> busy_cell;
   std::vector<ml::Series> busy_series;
   std::vector<double> busy_rate;
   for (std::size_t rank = 0; rank < top.size(); ++rank) {
@@ -146,15 +125,14 @@ GridForecast forecast_grid_demand(const data::DemandMatrix& history,
     for (double v : series) cell_total += v;
     if (cell_total <= 0.0) continue;
     busy_cell.push_back(cell);
-    busy_rank.push_back(rank);
     busy_rate.push_back(cell_total / static_cast<double>(series.size()));
     busy_series.push_back(std::move(series));
   }
 
   std::vector<double> busy_predicted(busy_cell.size(), 0.0);
-  if (!busy_cell.empty() && is_rnn(config.engine) && config.rnn_batch) {
-    // Batched shared-weight path: one fit over the pooled cells, then all
-    // horizons advance in fused multi-cell passes.
+  if (!busy_cell.empty() && is_rnn(config.engine)) {
+    // Shared-weight recurrent model: one fit over the pooled cells, then
+    // all horizons advance in fused multi-cell passes.
     ml::batch::BatchRnnConfig bc;
     bc.kind = config.engine == ForecastEngine::kLstm
                   ? ml::batch::RnnKind::kLstm
@@ -163,8 +141,6 @@ GridForecast forecast_grid_demand(const data::DemandMatrix& history,
     bc.hidden = config.rnn_hidden;
     bc.lookback = kRnnLookback;
     bc.epochs = config.rnn_batch_epochs;
-    bc.precision = config.rnn_int8 ? ml::batch::Precision::kInt8
-                                   : ml::batch::Precision::kFp32;
     bc.seed = config.seed;
     ml::batch::BatchRnn model(bc);
     model.fit(busy_series);
@@ -173,14 +149,14 @@ GridForecast forecast_grid_demand(const data::DemandMatrix& history,
       busy_predicted[i] = horizon_sum(forecasts[i]);
     }
   } else {
-    // One model per busy cell; the fits are independent, so they fan out
-    // over the exec pool (per-index writes, seeds fixed by rank — the
-    // results are identical at every pool width).
+    // One statistical model per busy cell; the fits are independent, so
+    // they fan out over the exec pool (per-index writes — the results are
+    // identical at every pool width).
     exec::parallel_for(
         busy_cell.size(), /*grain=*/1,
         [&](std::size_t b, std::size_t e, std::size_t) {
           for (std::size_t i = b; i < e; ++i) {
-            auto engine = make_engine(config, config.seed + busy_rank[i]);
+            auto engine = make_engine(config.engine);
             engine->fit(busy_series[i]);
             busy_predicted[i] = horizon_sum(
                 engine->forecast(busy_series[i], config.horizon_hours));

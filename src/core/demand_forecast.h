@@ -4,12 +4,13 @@
 /// Per-grid demand forecasting: the bridge between the prediction engine
 /// (Table II's models) and the offline PLP input. The paper forecasts "for
 /// each grid ... the future k steps" and feeds the predictions into the
-/// placement algorithm; this module fits a forecaster per busy cell (the
+/// placement algorithm; this module models only the busy cells (the
 /// candidate space is "reduced to filter out those less popular
-/// locations"), predicts the next horizon of hourly arrivals, and emits
-/// the predicted DemandSite set plan_offline() consumes. Quiet cells fall
-/// back to their historical mean scaled by the busy cells' predicted
-/// volume trend.
+/// locations") — one statistical model per cell, or one shared recurrent
+/// model over all of them — predicts the next horizon of hourly arrivals,
+/// and emits the predicted DemandSite set plan_offline() consumes. Quiet
+/// cells fall back to their historical mean scaled by the busy cells'
+/// predicted volume trend.
 
 #include <cstddef>
 #include <vector>
@@ -28,22 +29,12 @@ struct GridForecastConfig {
   ForecastEngine engine{ForecastEngine::kSeasonalNaive};
   std::size_t top_cells{50};   ///< fit a model only for the busiest cells
   std::size_t horizon_hours{24};
-  /// LSTM/GRU training budget when those engines are selected (kept small:
-  /// one model per cell).
+  /// kLstm/kGru: the modeled cells share one batched recurrent model
+  /// (ml/batch.h) — one fit over the pooled cells, one fused forward per
+  /// horizon step across all of them, per-cell scalers kept.
   int rnn_hidden{12};
-  int rnn_epochs{8};
-  /// Route the kLstm/kGru top cells through the batched shared-weight
-  /// runtime (ml/batch.h): one fit over the pooled cells, one fused
-  /// forward per horizon step across all of them, per-cell scalers kept.
-  /// Off = the original one-model-per-cell path (fits fan out over the
-  /// exec pool either way).
-  bool rnn_batch{true};
-  /// Full-batch Adam budget for the batched runtime; full-batch steps are
-  /// not comparable 1:1 with the per-window SGD `rnn_epochs` above.
+  /// Full-batch Adam steps of that shared fit.
   int rnn_batch_epochs{40};
-  /// Serve batched forecasts from int8-quantized weights (accuracy A/B'd
-  /// against fp32 in EXPERIMENTS.md).
-  bool rnn_int8{false};
   std::uint64_t seed{1};
 
   /// \throws std::invalid_argument on the first violated constraint

@@ -153,7 +153,7 @@ void gru_pointwise(const float* a, const float* q, std::size_t h,
 }
 
 /// Output head: y[c] = by + Wy·h_top[.][c], terms added in ascending unit
-/// order per cell (the plane transpose of rnn_output_head).
+/// order per cell.
 void output_head(const float* wy, float by, const float* htop, std::size_t h,
                  std::size_t b, float* y) {
   for (std::size_t k = 0; k < b; ++k) y[k] = by;
@@ -201,11 +201,6 @@ void BatchRnnConfig::validate() const {
   }
 }
 
-struct BatchRnn::QuantLayer {
-  std::vector<std::int8_t> wx, wh;
-  std::vector<float> wx_scale, wh_scale;  ///< one fp32 scale per row
-};
-
 struct BatchRnn::Scratch {
   std::vector<float> z;                ///< [gates*h × batch] pre-activations
   std::vector<float> q;                ///< [h × batch] GRU candidate product
@@ -239,10 +234,6 @@ BatchRnn::BatchRnn(BatchRnnConfig config) : config_(config) {
   config_.validate();
   init_params(config_.seed);
 }
-
-BatchRnn::~BatchRnn() = default;
-BatchRnn::BatchRnn(BatchRnn&&) noexcept = default;
-BatchRnn& BatchRnn::operator=(BatchRnn&&) noexcept = default;
 
 std::size_t BatchRnn::gates() const {
   return config_.kind == RnnKind::kLstm ? 4 : 3;
@@ -298,8 +289,8 @@ void BatchRnn::init_params(std::uint64_t seed) {
     for (std::size_t k = 0; k < g * h * h; ++k) {
       params_[wh_off(l) + k] = static_cast<float>(rng.uniform(-sh, sh));
     }
-    // Same stabilizing bias tricks as the per-cell engines: LSTM forget
-    // block (+h) at +1, GRU update block (first) at +1.
+    // Stabilizing bias init: LSTM forget block (+h) at +1, GRU update
+    // block (first) at +1.
     const std::size_t bias_block = config_.kind == RnnKind::kLstm ? h : 0;
     for (std::size_t k = 0; k < h; ++k) {
       params_[b_off(l) + bias_block + k] = 1.0f;
@@ -309,7 +300,6 @@ void BatchRnn::init_params(std::uint64_t seed) {
   for (std::size_t k = 0; k < h; ++k) {
     params_[wy_off() + k] = static_cast<float>(rng.uniform(-sy, sy));
   }
-  quant_.clear();
 }
 
 std::string BatchRnn::name() const {
@@ -319,68 +309,16 @@ std::string BatchRnn::name() const {
          ",back=" + std::to_string(config_.lookback) + ")";
 }
 
-// --- quantization -----------------------------------------------------------
-
-void BatchRnn::refresh_quantization() {
-  const auto h = static_cast<std::size_t>(config_.hidden);
-  const std::size_t g = gates();
-  quant_.assign(static_cast<std::size_t>(config_.layers), QuantLayer{});
-  // Per gate block and matrix: scale = max|w| / 127, weights rounded to the
-  // nearest int8 step. A zero block keeps scale 1 (all-zero codes).
-  const auto quantize_block = [&](const float* w, std::size_t rows,
-                                  std::size_t cols, std::int8_t* q,
-                                  float* row_scale) {
-    for (std::size_t gi = 0; gi < g; ++gi) {
-      float maxabs = 0.0f;
-      for (std::size_t r = gi * h; r < (gi + 1) * h; ++r) {
-        for (std::size_t k = 0; k < cols; ++k) {
-          maxabs = std::max(maxabs, std::abs(w[r * cols + k]));
-        }
-      }
-      const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-      for (std::size_t r = gi * h; r < (gi + 1) * h; ++r) {
-        row_scale[r] = scale;
-        for (std::size_t k = 0; k < cols; ++k) {
-          const long code = std::lround(w[r * cols + k] / scale);
-          q[r * cols + k] = static_cast<std::int8_t>(
-              std::clamp(code, -127L, 127L));
-        }
-      }
-    }
-    (void)rows;
-  };
-  for (int l = 0; l < config_.layers; ++l) {
-    const std::size_t in = input_size(l);
-    QuantLayer& ql = quant_[static_cast<std::size_t>(l)];
-    ql.wx.resize(g * h * in);
-    ql.wx_scale.resize(g * h);
-    ql.wh.resize(g * h * h);
-    ql.wh_scale.resize(g * h);
-    quantize_block(&params_[wx_off(l)], g * h, in, ql.wx.data(),
-                   ql.wx_scale.data());
-    quantize_block(&params_[wh_off(l)], g * h, h, ql.wh.data(),
-                   ql.wh_scale.data());
-  }
-}
-
 // --- fused forward ----------------------------------------------------------
 
 void BatchRnn::run_batch_forward(const float* win, std::size_t batch,
-                                 Precision precision, std::size_t width,
-                                 float* y, Scratch& s,
+                                 std::size_t width, float* y, Scratch& s,
                                  FitCaches* caches) const {
   const auto h = static_cast<std::size_t>(config_.hidden);
   const std::size_t g = gates();
   const std::size_t t_len = config_.lookback;
   const auto layers = static_cast<std::size_t>(config_.layers);
   const bool lstm = config_.kind == RnnKind::kLstm;
-
-  if (precision == Precision::kInt8 && quant_.size() != layers) {
-    throw std::logic_error(
-        "BatchRnn: int8 inference requested before quantization tables were "
-        "built (fit() builds them; refresh_quantization() after parameter "
-        "edits)");
-  }
 
   // Cache-blocked inference: cells are independent across the whole
   // recurrence, so large batches run one kForwardTile-cell tile at a time —
@@ -398,8 +336,8 @@ void BatchRnn::run_batch_forward(const float* win, std::size_t batch,
         const float* row = win + t * batch + start;
         std::copy(row, row + tile, s.tile_win.data() + t * tile);
       }
-      run_batch_forward(s.tile_win.data(), tile, precision, width, y + start,
-                        s, nullptr);
+      run_batch_forward(s.tile_win.data(), tile, width, y + start, s,
+                        nullptr);
     }
     return;
   }
@@ -444,16 +382,8 @@ void BatchRnn::run_batch_forward(const float* win, std::size_t batch,
       FitCaches::Step* st =
           caches != nullptr ? &caches->at(l, t) : nullptr;
       if (lstm) {
-        if (precision == Precision::kFp32) {
-          batch_matmul_bias(wx, 4 * h, in, x, batch, b, s.z.data(), width);
-          batch_matmul_acc(wh, 4 * h, h, hp, batch, s.z.data(), width);
-        } else {
-          const QuantLayer& ql = quant_[l];
-          batch_matmul_bias_i8(ql.wx.data(), ql.wx_scale.data(), 4 * h, in, x,
-                               batch, b, s.z.data(), width);
-          batch_matmul_acc_i8(ql.wh.data(), ql.wh_scale.data(), 4 * h, h, hp,
-                              batch, s.z.data(), width);
-        }
+        batch_matmul_bias(wx, 4 * h, in, x, batch, b, s.z.data(), width);
+        batch_matmul_acc(wh, 4 * h, h, hp, batch, s.z.data(), width);
         lstm_pointwise(s.z.data(), h, batch, width, s.c[l].data(), hp,
                        st != nullptr ? st->i.data() : nullptr,
                        st != nullptr ? st->f.data() : nullptr,
@@ -463,21 +393,10 @@ void BatchRnn::run_batch_forward(const float* win, std::size_t batch,
                        st != nullptr ? st->tanh_c.data() : nullptr,
                        st != nullptr ? st->h.data() : nullptr);
       } else {
-        if (precision == Precision::kFp32) {
-          batch_matmul_bias(wx, 3 * h, in, x, batch, b, s.z.data(), width);
-          batch_matmul_acc(wh, 2 * h, h, hp, batch, s.z.data(), width);
-          batch_matmul_bias(wh + 2 * h * h, h, h, hp, batch, nullptr,
-                            s.q.data(), width);
-        } else {
-          const QuantLayer& ql = quant_[l];
-          batch_matmul_bias_i8(ql.wx.data(), ql.wx_scale.data(), 3 * h, in, x,
-                               batch, b, s.z.data(), width);
-          batch_matmul_acc_i8(ql.wh.data(), ql.wh_scale.data(), 2 * h, h, hp,
-                              batch, s.z.data(), width);
-          batch_matmul_bias_i8(ql.wh.data() + 2 * h * h,
-                               ql.wh_scale.data() + 2 * h, h, h, hp, batch,
-                               nullptr, s.q.data(), width);
-        }
+        batch_matmul_bias(wx, 3 * h, in, x, batch, b, s.z.data(), width);
+        batch_matmul_acc(wh, 2 * h, h, hp, batch, s.z.data(), width);
+        batch_matmul_bias(wh + 2 * h * h, h, h, hp, batch, nullptr,
+                          s.q.data(), width);
         gru_pointwise(s.z.data(), s.q.data(), h, batch, width, hp,
                       st != nullptr ? st->z.data() : nullptr,
                       st != nullptr ? st->r.data() : nullptr,
@@ -656,8 +575,7 @@ double BatchRnn::pooled_loss(const std::vector<Window>& windows) const {
   const std::vector<float> plane = window_plane(windows, config_.lookback);
   std::vector<float> y(n);
   Scratch s;
-  run_batch_forward(plane.data(), n, Precision::kFp32, 0, y.data(), s,
-                    nullptr);
+  run_batch_forward(plane.data(), n, 0, y.data(), s, nullptr);
   double loss = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double e = static_cast<double>(y[j]) - windows[j].target;
@@ -676,8 +594,7 @@ std::vector<double> BatchRnn::pooled_gradient(
   std::vector<float> y(n);
   Scratch s;
   FitCaches caches;
-  run_batch_forward(plane.data(), n, Precision::kFp32, 0, y.data(), s,
-                    &caches);
+  run_batch_forward(plane.data(), n, 0, y.data(), s, &caches);
   std::vector<float> dy(n);
   for (std::size_t j = 0; j < n; ++j) {
     dy[j] = static_cast<float>(
@@ -746,8 +663,7 @@ void BatchRnn::fit(const std::vector<Series>& cells) {
   std::vector<float> y(n), dy(n);
   std::vector<double> grad(param_count());
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    run_batch_forward(plane.data(), n, Precision::kFp32, 0, y.data(), s,
-                      &caches);
+    run_batch_forward(plane.data(), n, 0, y.data(), s, &caches);
     double loss = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
       const double e = static_cast<double>(y[j]) - targets[j];
@@ -782,7 +698,6 @@ void BatchRnn::fit(const std::vector<Series>& cells) {
     }
   }
   fitted_ = true;
-  refresh_quantization();
 }
 
 // --- forecast ---------------------------------------------------------------
@@ -790,12 +705,6 @@ void BatchRnn::fit(const std::vector<Series>& cells) {
 std::vector<Series> BatchRnn::forecast(const std::vector<Series>& histories,
                                        std::size_t horizon,
                                        std::size_t width) const {
-  return forecast_with(histories, horizon, config_.precision, width);
-}
-
-std::vector<Series> BatchRnn::forecast_with(
-    const std::vector<Series>& histories, std::size_t horizon,
-    Precision precision, std::size_t width) const {
   if (!fitted_) {
     throw std::logic_error("BatchRnn::forecast: not fitted");
   }
@@ -834,13 +743,13 @@ std::vector<Series> BatchRnn::forecast_with(
   Scratch s;
   std::vector<float> y(n);
   for (std::size_t hstep = 0; hstep < horizon; ++hstep) {
-    run_batch_forward(win.data(), n, precision, width, y.data(), s, nullptr);
+    run_batch_forward(win.data(), n, width, y.data(), s, nullptr);
     for (std::size_t c = 0; c < n; ++c) {
       out[c].push_back(scalers[c].inverse_one(static_cast<double>(y[c])));
     }
     if (hstep + 1 < horizon) {
       // Slide the window: drop the oldest row, append the (standardized)
-      // prediction — the batched transpose of the scalar engines' loop.
+      // prediction.
       for (std::size_t t = 0; t + 1 < t_len; ++t) {
         std::copy(win.begin() + static_cast<std::ptrdiff_t>((t + 1) * n),
                   win.begin() + static_cast<std::ptrdiff_t>((t + 2) * n),
@@ -855,38 +764,8 @@ std::vector<Series> BatchRnn::forecast_with(
 
 Series BatchRnn::forecast_one(const Series& history,
                               std::size_t horizon) const {
-  std::vector<Series> out = forecast_with({history}, horizon,
-                                          config_.precision, /*width=*/1);
+  std::vector<Series> out = forecast({history}, horizon, /*width=*/1);
   return std::move(out.front());
-}
-
-double batch_rolling_rmse(const BatchRnn& model, const Series& train,
-                          const Series& test, Precision precision,
-                          std::size_t width) {
-  if (test.empty()) {
-    throw std::invalid_argument("batch_rolling_rmse: empty test series");
-  }
-  if (train.size() < model.config().lookback) {
-    throw std::invalid_argument(
-        "batch_rolling_rmse: train shorter than the model lookback");
-  }
-  // Teacher forcing: row i of the batch conditions on train + test[0..i).
-  std::vector<Series> histories(test.size());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    Series& hs = histories[i];
-    hs.reserve(train.size() + i);
-    hs.insert(hs.end(), train.begin(), train.end());
-    hs.insert(hs.end(), test.begin(),
-              test.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-  const std::vector<Series> preds =
-      model.forecast_with(histories, 1, precision, width);
-  double se = 0.0;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const double e = preds[i][0] - test[i];
-    se += e * e;
-  }
-  return std::sqrt(se / static_cast<double>(test.size()));
 }
 
 }  // namespace esharing::ml::batch

@@ -1,27 +1,22 @@
 #pragma once
 
 /// \file batch.h
-/// Batched multi-cell LSTM/GRU runtime — ROADMAP's "batched forecasting
-/// runtime". The per-cell forecasters (lstm.h, gru.h) fit one model per
-/// grid cell and step it with tiny per-cell matvecs; this engine instead
-/// trains ONE shared-weight recurrence over the pooled standardized
-/// windows of every cell and advances all cells together: hidden/cell
-/// state lives in SoA planes `[hidden × n_cells]` (cell dimension
-/// contiguous), and each timestep is one big GEMM per gate block across
-/// the whole batch through the hand-vectorized plane kernels of
-/// linalg_batch.h. Per-cell z-score scalers are retained, so the shared
+/// Batched multi-cell LSTM/GRU runtime — the repo's only recurrent
+/// forecasting engine. It trains ONE shared-weight recurrence over the
+/// pooled standardized windows of every cell and advances all cells
+/// together: hidden/cell state lives in SoA planes `[hidden × n_cells]`
+/// (cell dimension contiguous), and each timestep is one big GEMM per gate
+/// block across the whole batch through the hand-vectorized plane kernels
+/// of linalg_batch.h. Per-cell z-score scalers are retained, so the shared
 /// weights learn the common diurnal shape while each cell keeps its own
-/// level — the accuracy trade against per-cell models is pinned by the
-/// Table II A/B (EXPERIMENTS.md).
+/// level. A single series is a batch of one: make_forecaster("lstm"|"gru")
+/// wraps a one-cell BatchRnn behind the Forecaster interface.
 ///
 /// Determinism: fitting and forecasting are bit-identical at every exec
 /// pool width and for every batch size — a cell forecast does not depend
 /// on which other cells share the batch (see linalg_batch.h for the
 /// kernel-level contract; forecast_one is the batch=1 reference the
-/// equivalence tests compare against). Inference runs in fp32; an
-/// optional int8 weight path (per-gate scales, activations fp32,
-/// quantized from the fp32 weights after fit) trades accuracy for
-/// footprint and is A/B-gated in tests and bench_forecast_batch.
+/// equivalence tests compare against). All arithmetic is fp32.
 
 #include <cstdint>
 #include <string>
@@ -31,14 +26,9 @@
 
 namespace esharing::ml::batch {
 
-/// Which recurrence the batch engine runs. Weight layout and arithmetic
-/// mirror the per-cell forecasters (gate blocks [i|f|g|o] / [z|r|n]).
+/// Which recurrence the batch engine runs (gate blocks [i|f|g|o] for the
+/// LSTM, [z|r|n] for the GRU).
 enum class RnnKind { kLstm, kGru };
-
-/// Inference weight precision. Training always runs fp32; kInt8 stores
-/// weights as int8 with one fp32 scale per gate block per matrix and
-/// dequantizes on load (the output head stays fp32 either way).
-enum class Precision { kFp32, kInt8 };
 
 struct BatchRnnConfig {
   RnnKind kind{RnnKind::kLstm};
@@ -46,15 +36,13 @@ struct BatchRnnConfig {
   int hidden{12};
   std::size_t lookback{12};  ///< the paper's "back" parameter, in hours
   /// Full-batch Adam steps (one gradient over all pooled windows per
-  /// epoch — unlike the per-window SGD of the scalar forecasters, so the
-  /// budget is not comparable 1:1).
+  /// epoch).
   int epochs{60};
   double learning_rate{2e-2};
   double grad_clip{5.0};  ///< global-norm clip; <= 0 disables
   /// Cap on pooled training windows; above it fit() takes a deterministic
   /// even-stride subsample (bounds the BPTT cache memory).
   std::size_t max_fit_windows{8000};
-  Precision precision{Precision::kFp32};
   std::uint64_t seed{1};
 
   /// \throws std::invalid_argument on the first violated constraint.
@@ -65,10 +53,6 @@ class BatchRnn {
  public:
   /// \throws std::invalid_argument on invalid config.
   explicit BatchRnn(BatchRnnConfig config);
-  // Out of line: members hold vectors of private types declared below.
-  ~BatchRnn();
-  BatchRnn(BatchRnn&&) noexcept;
-  BatchRnn& operator=(BatchRnn&&) noexcept;
 
   /// Fit the shared weights: per-cell z-score scalers, pooled sliding
   /// windows (deterministically subsampled past max_fit_windows), then
@@ -80,18 +64,12 @@ class BatchRnn {
   /// Batched recursive forecast: out[cell] holds `horizon` hourly values.
   /// Each cell's scaler is refit on its provided history (histories need
   /// not be the fit series); every horizon step advances all cells in one
-  /// fused pass at `config().precision`. `width` 0 = auto lanes.
+  /// fused pass. `width` 0 = auto lanes.
   /// \throws std::logic_error before fit(), std::invalid_argument if any
   ///         history is shorter than lookback.
   [[nodiscard]] std::vector<Series> forecast(
       const std::vector<Series>& histories, std::size_t horizon,
       std::size_t width = 0) const;
-
-  /// forecast() with an explicit weight precision — lets one fitted model
-  /// A/B fp32 against its int8 quantization.
-  [[nodiscard]] std::vector<Series> forecast_with(
-      const std::vector<Series>& histories, std::size_t horizon,
-      Precision precision, std::size_t width = 0) const;
 
   /// Single-cell reference path: a batch of one through the same kernels.
   /// The equivalence contract tests pin: bit-identical to the cell's row
@@ -110,7 +88,7 @@ class BatchRnn {
 
   // --- low-level access for tests (gradient checking) -------------------
   /// Mean half-squared-error over already-standardized windows under the
-  /// current fp32 parameters.
+  /// current parameters.
   [[nodiscard]] double pooled_loss(const std::vector<Window>& windows) const;
   /// Analytic gradient of pooled_loss via batched BPTT (double-precision
   /// accumulation; finite-difference-checked in tests/test_ml_batch.cpp).
@@ -118,14 +96,10 @@ class BatchRnn {
       const std::vector<Window>& windows) const;
   [[nodiscard]] std::vector<float>& parameters() { return params_; }
   [[nodiscard]] const std::vector<float>& parameters() const { return params_; }
-  /// Rebuild the int8 tables from the current fp32 parameters (fit() does
-  /// this automatically; call after poking parameters() directly).
-  void refresh_quantization();
 
  private:
   struct Scratch;     // inference planes, reused across horizon steps
   struct FitCaches;   // per-(layer, timestep) activation planes for BPTT
-  struct QuantLayer;  // int8 weights + per-row (per-gate) scales
 
   void init_params(std::uint64_t seed);
   [[nodiscard]] std::size_t gates() const;
@@ -139,10 +113,10 @@ class BatchRnn {
   /// One fused pass over a `[lookback × batch]` standardized window plane:
   /// recurrence from zero state through all layers and timesteps, output
   /// head into y[batch]. With `caches` non-null, gate activations are
-  /// recorded for BPTT (fp32 path only).
+  /// recorded for BPTT.
   void run_batch_forward(const float* win, std::size_t batch,
-                         Precision precision, std::size_t width, float* y,
-                         Scratch& scratch, FitCaches* caches) const;
+                         std::size_t width, float* y, Scratch& scratch,
+                         FitCaches* caches) const;
   /// Batched BPTT over the cached forward; accumulates into `grad`.
   void run_batch_backward(const float* win, std::size_t batch,
                           const float* dy, const FitCaches& caches,
@@ -150,21 +124,8 @@ class BatchRnn {
 
   BatchRnnConfig config_;
   std::vector<float> params_;
-  std::vector<QuantLayer> quant_;
   bool fitted_{false};
   std::vector<double> loss_history_;
 };
-
-/// Rolling one-step RMSE under the Table II protocol (teacher forcing:
-/// prediction i conditions on train + test[0..i)). Every test hour becomes
-/// one row of a single batched forward, so the whole evaluation is one
-/// fused pass — this is the harness the int8-vs-fp32 accuracy gate runs on.
-/// \throws std::invalid_argument if test is empty or train is shorter than
-///         the model's lookback.
-[[nodiscard]] double batch_rolling_rmse(const BatchRnn& model,
-                                        const Series& train,
-                                        const Series& test,
-                                        Precision precision,
-                                        std::size_t width = 0);
 
 }  // namespace esharing::ml::batch

@@ -6,7 +6,8 @@
 /// compare forecaster families (Table II) iterate over names instead of
 /// hard-coding one constructor per model.
 ///
-/// Names: "ma", "arima", "lstm", "gru", "seasonal_naive".
+/// Names: "ma", "arima", "lstm", "gru", "seasonal_naive". "lstm" and "gru"
+/// are one-cell runs of the batched recurrent engine (ml/batch.h).
 
 #include <memory>
 #include <string>
@@ -18,7 +19,9 @@
 namespace esharing::ml {
 
 /// Superset of the per-model hyperparameters; each model reads only the
-/// fields it understands. Defaults match the individual model defaults.
+/// fields it understands. The recurrent fields map 1:1 onto
+/// batch::BatchRnnConfig; `epochs` and `learning_rate` default to its
+/// values (full-batch Adam steps).
 struct ForecasterSpec {
   std::uint64_t seed{1};       ///< "lstm", "gru"
   std::size_t ma_window{3};    ///< "ma": the paper's wz parameter
@@ -27,8 +30,8 @@ struct ForecasterSpec {
   int layers{2};               ///< "lstm", "gru"
   int hidden{32};              ///< "lstm", "gru"
   std::size_t lookback{12};    ///< "lstm", "gru": the paper's back parameter
-  int epochs{40};              ///< "lstm", "gru"
-  double learning_rate{5e-3};  ///< "lstm", "gru"
+  int epochs{60};              ///< "lstm", "gru"
+  double learning_rate{2e-2};  ///< "lstm", "gru"
   std::size_t period{24};      ///< "seasonal_naive" season length in hours
 };
 

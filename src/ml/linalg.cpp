@@ -7,38 +7,6 @@
 
 namespace esharing::ml {
 
-void matvec_bias(const double* w, std::size_t rows, std::size_t cols,
-                 const double* x, const double* bias, double* y) {
-  const std::size_t width = rows * cols < kSerialFlops ? 1 : 0;
-  exec::parallel_for(
-      rows, kRowGrain,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        for (std::size_t r = b; r < e; ++r) {
-          double acc = bias != nullptr ? bias[r] : 0.0;
-          const double* wr = w + r * cols;
-          for (std::size_t k = 0; k < cols; ++k) acc += wr[k] * x[k];
-          y[r] = acc;
-        }
-      },
-      width);
-}
-
-void matvec_acc(const double* w, std::size_t rows, std::size_t cols,
-                const double* x, double* y) {
-  const std::size_t width = rows * cols < kSerialFlops ? 1 : 0;
-  exec::parallel_for(
-      rows, kRowGrain,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        for (std::size_t r = b; r < e; ++r) {
-          double acc = y[r];
-          const double* wr = w + r * cols;
-          for (std::size_t k = 0; k < cols; ++k) acc += wr[k] * x[k];
-          y[r] = acc;
-        }
-      },
-      width);
-}
-
 Mat::Mat(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 

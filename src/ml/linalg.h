@@ -12,10 +12,10 @@
 namespace esharing::ml {
 
 /// Below this many multiply-adds a parallel region costs more than it
-/// saves (forecaster defaults are tiny). Shared by the scalar matvec
-/// kernels here and the batched plane kernels (linalg_batch.h); the cutoff
-/// only ever picks the lane count, never the arithmetic, so results are
-/// identical either way.
+/// saves (forecaster defaults are tiny). Shared by the least-squares
+/// normal equations here and the batched plane kernels (linalg_batch.h);
+/// the cutoff only ever picks the lane count, never the arithmetic, so
+/// results are identical either way.
 inline constexpr std::size_t kSerialFlops = 1 << 14;
 
 /// Rows per chunk for row-parallel kernels.
@@ -40,21 +40,6 @@ class Mat {
   std::size_t cols_{0};
   std::vector<double> data_;
 };
-
-/// y[r] = bias[r] + sum_k w[r*cols + k] * x[k], terms added in ascending k
-/// into a local accumulator — the exact per-row sequence the LSTM/GRU gate
-/// loops used inline, so extracting them here is bit-identical. bias may
-/// be nullptr (rows start from 0.0). Rows fan out on the exec pool once
-/// rows*cols crosses a fixed serial cutoff; per-row writes are disjoint,
-/// so the result never depends on the width.
-void matvec_bias(const double* w, std::size_t rows, std::size_t cols,
-                 const double* x, const double* bias, double* y);
-
-/// y[r] += sum_k w[r*cols + k] * x[k]: loads y[r], adds terms in ascending
-/// k, stores back — the same addition sequence as accumulating into a live
-/// register (a double store/load round-trip is exact).
-void matvec_acc(const double* w, std::size_t rows, std::size_t cols,
-                const double* x, double* y);
 
 /// Solve A x = b by Gaussian elimination with partial pivoting.
 /// \throws std::invalid_argument on shape mismatch or singular A.

@@ -96,27 +96,6 @@ void batch_matmul_acc(const float* w, std::size_t rows, std::size_t cols,
       cols, x, batch, nullptr, z, width);
 }
 
-void batch_matmul_bias_i8(const std::int8_t* w, const float* row_scale,
-                          std::size_t rows, std::size_t cols, const float* x,
-                          std::size_t batch, const float* bias, float* z,
-                          std::size_t width) {
-  plane_matmul<false>(
-      [&](std::size_t r, std::size_t k) {
-        return row_scale[r] * static_cast<float>(w[r * cols + k]);
-      },
-      rows, cols, x, batch, bias, z, width);
-}
-
-void batch_matmul_acc_i8(const std::int8_t* w, const float* row_scale,
-                         std::size_t rows, std::size_t cols, const float* x,
-                         std::size_t batch, float* z, std::size_t width) {
-  plane_matmul<true>(
-      [&](std::size_t r, std::size_t k) {
-        return row_scale[r] * static_cast<float>(w[r * cols + k]);
-      },
-      rows, cols, x, batch, nullptr, z, width);
-}
-
 void batch_matmul_transpose_acc(const float* w, std::size_t rows,
                                 std::size_t cols, const float* z,
                                 std::size_t batch, float* out,

@@ -8,24 +8,17 @@
 /// hand-vectorization lives in fixed-lane blocked loops (kPlaneLanes), not
 /// in pragmas, per the lint rules.
 ///
-/// Determinism contract (the same one linalg.h documents for the scalar
-/// matvecs): every output element accumulates its terms in ascending
-/// weight-column order through an identical per-element expression in the
-/// blocked body and the tail, so a cell's result is bit-identical whatever
+/// Determinism contract: every output element accumulates its terms in
+/// ascending weight-column order through an identical per-element
+/// expression in the blocked body and the tail, so a cell's result is bit-identical whatever
 /// its batch position, whatever the batch size (batch=1 equals any larger
 /// batch elementwise), and whatever the exec-pool width (rows fan out with
 /// disjoint writes; the kSerialFlops cutoff from linalg.h only picks the
 /// lane count). linalg_batch.cpp is compiled with -ffp-contract=off so no
 /// platform fuses the multiply-add chain differently between the SIMD body
 /// and the scalar tail.
-///
-/// The int8 variants implement the quantized weight path: weights are
-/// stored as int8 with one fp32 scale per row (callers expand per-gate
-/// scales to rows) and dequantized on load — activations stay fp32, so the
-/// kernels differ from the fp32 path only in the weight load.
 
 #include <cstddef>
-#include <cstdint>
 
 namespace esharing::ml {
 
@@ -80,18 +73,6 @@ void batch_matmul_bias(const float* w, std::size_t rows, std::size_t cols,
 void batch_matmul_acc(const float* w, std::size_t rows, std::size_t cols,
                       const float* x, std::size_t batch, float* z,
                       std::size_t width = 0);
-
-/// Quantized batch_matmul_bias: the weight load is
-/// row_scale[r] * float(w[r*cols + k]), everything else identical.
-void batch_matmul_bias_i8(const std::int8_t* w, const float* row_scale,
-                          std::size_t rows, std::size_t cols, const float* x,
-                          std::size_t batch, const float* bias, float* z,
-                          std::size_t width = 0);
-
-/// Quantized batch_matmul_acc.
-void batch_matmul_acc_i8(const std::int8_t* w, const float* row_scale,
-                         std::size_t rows, std::size_t cols, const float* x,
-                         std::size_t batch, float* z, std::size_t width = 0);
 
 /// Transposed product for BPTT upstream deltas:
 /// out[k][c] += sum_r w[r*cols + k] * z[r][c], ascending r. Fans out over

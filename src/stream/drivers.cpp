@@ -355,7 +355,10 @@ void OnlinePlacerDriver::run_regime_check(std::size_t shard) {
     wbuf = ks_stratified_sample(window, budget);
     wref = &wbuf;
   }
-  const auto result = stats::ks2d_test(*href, *wref, config_.ks_peacock_limit);
+  // Always Fasano–Franceschini (limit 0): sharding shrinks windows, and an
+  // exact O((n+m)^3) Peacock check below the batch-path limit is the
+  // "8-shard cliff" (EXPERIMENTS.md "Stream shard scaling").
+  const auto result = stats::ks2d_test(*href, *wref, 0);
   ShardRegime& regime = regimes_[shard];
   regime.similarity = result.similarity;
   ++regime.checks;

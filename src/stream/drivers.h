@@ -61,13 +61,6 @@ struct PlacerDriverConfig {
   /// Skip a scheduled re-anchor while the merged snapshot has fewer
   /// demand cells than this (too few cells make a degenerate instance).
   std::size_t reanchor_min_cells{2};
-  /// Forwarded to stats::ks2d_test: samples with n+m <= limit use the
-  /// exact O((n+m)^3) Peacock statistic. The stream default is 0 — never
-  /// exact — because sharding shrinks windows: at 8 shards a window that
-  /// sat comfortably above the batch-path default (400) falls below it and
-  /// every check pays the cubic path (the "8-shard cliff" documented in
-  /// EXPERIMENTS.md "Stream shard scaling").
-  std::size_t ks_peacock_limit{0};
   /// Per-side stratified sample budget for the regime check (0 = off).
   /// When a window or reference slice exceeds the budget, the check runs
   /// on a deterministic midpoint-stride subsample of exactly `budget`

@@ -223,8 +223,8 @@ TEST(GridForecastConfigValidate, RejectsBadFields) {
 
   c = {};
   c.engine = core::ForecastEngine::kGru;
-  c.rnn_epochs = -1;
-  expect_rejects(c, "rnn_epochs");
+  c.rnn_batch_epochs = -1;
+  expect_rejects(c, "rnn_batch_epochs");
 
   c = {};
   c.engine = core::ForecastEngine::kLstm;

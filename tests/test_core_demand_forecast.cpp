@@ -94,9 +94,8 @@ TEST_F(GridForecastFixture, SitesMatchPositiveCells) {
 TEST_F(GridForecastFixture, RnnEnginesRunOnTopCells) {
   GridForecastConfig cfg;
   cfg.engine = ForecastEngine::kLstm;
-  cfg.top_cells = 3;  // keep the per-cell training cheap
-  cfg.rnn_epochs = 3;
-  cfg.rnn_batch = false;  // the original one-model-per-cell path
+  cfg.top_cells = 3;
+  cfg.rnn_batch_epochs = 3;  // keep the shared fit cheap
   const auto fc = forecast_grid_demand(matrix_, grid_, cfg);
   EXPECT_GT(fc.modeled_cells, 0u);
   EXPECT_LE(fc.modeled_cells, 3u);
@@ -107,7 +106,6 @@ TEST_F(GridForecastFixture, BatchedRnnPathMatchesShapeOfPerCellPath) {
   GridForecastConfig cfg;
   cfg.engine = ForecastEngine::kGru;
   cfg.top_cells = 6;
-  cfg.rnn_batch = true;
   cfg.rnn_batch_epochs = 10;
   const auto fc = forecast_grid_demand(matrix_, grid_, cfg);
   ASSERT_EQ(fc.predicted_arrivals.size(), grid_.cell_count());
@@ -120,24 +118,11 @@ TEST_F(GridForecastFixture, BatchedRnnPathMatchesShapeOfPerCellPath) {
   EXPECT_GT(predicted, 0.0);
 }
 
-TEST_F(GridForecastFixture, BatchedInt8PathStaysNonNegative) {
-  GridForecastConfig cfg;
-  cfg.engine = ForecastEngine::kLstm;
-  cfg.top_cells = 4;
-  cfg.rnn_batch = true;
-  cfg.rnn_batch_epochs = 8;
-  cfg.rnn_int8 = true;
-  const auto fc = forecast_grid_demand(matrix_, grid_, cfg);
-  EXPECT_GT(fc.modeled_cells, 0u);
-  for (double v : fc.predicted_arrivals) EXPECT_GE(v, 0.0);
-}
-
-TEST_F(GridForecastFixture, PerCellPathDeterministicAcrossRuns) {
+TEST_F(GridForecastFixture, RnnPathDeterministicAcrossRuns) {
   GridForecastConfig cfg;
   cfg.engine = ForecastEngine::kLstm;
   cfg.top_cells = 3;
-  cfg.rnn_epochs = 2;
-  cfg.rnn_batch = false;
+  cfg.rnn_batch_epochs = 2;
   const auto a = forecast_grid_demand(matrix_, grid_, cfg);
   const auto b = forecast_grid_demand(matrix_, grid_, cfg);
   ASSERT_EQ(a.predicted_arrivals.size(), b.predicted_arrivals.size());

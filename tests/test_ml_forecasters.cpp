@@ -7,6 +7,7 @@
 #include "ml/arima.h"
 #include "ml/forecaster.h"
 #include "ml/moving_average.h"
+#include "ml/seasonal_naive.h"
 #include "stats/rng.h"
 
 namespace esharing::ml {
@@ -193,6 +194,33 @@ TEST(Arima, PeriodicSeriesForecastableWithEnoughLags) {
   ar.fit(train);
   // One-step RMSE far below the signal amplitude.
   EXPECT_LT(evaluate_rmse(ar, train, test), 1.0);
+}
+
+TEST(SeasonalNaive, RepeatsLastSeason) {
+  SeasonalNaiveForecaster sn(3);
+  sn.fit({1.0});
+  const auto f = sn.forecast({10, 20, 30, 40, 50, 60}, 4);
+  EXPECT_DOUBLE_EQ(f[0], 40.0);
+  EXPECT_DOUBLE_EQ(f[1], 50.0);
+  EXPECT_DOUBLE_EQ(f[2], 60.0);
+  EXPECT_DOUBLE_EQ(f[3], 40.0);  // recursion wraps into its own forecasts
+}
+
+TEST(SeasonalNaive, PerfectOnExactlyPeriodicSeries) {
+  const Series s = sine_series(96, 24.0);
+  const auto [train, test] = split(s, 0.75);
+  SeasonalNaiveForecaster sn(24);
+  sn.fit(train);
+  EXPECT_NEAR(evaluate_rmse(sn, train, test), 0.0, 1e-9);
+}
+
+TEST(SeasonalNaive, Validates) {
+  EXPECT_THROW(SeasonalNaiveForecaster(0), std::invalid_argument);
+  SeasonalNaiveForecaster sn(24);
+  sn.fit({1.0});
+  EXPECT_THROW((void)sn.forecast({1, 2, 3}, 1), std::invalid_argument);
+  EXPECT_THROW(sn.fit({}), std::invalid_argument);
+  EXPECT_EQ(sn.name(), "SeasonalNaive(period=24)");
 }
 
 }  // namespace
