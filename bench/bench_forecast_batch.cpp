@@ -5,9 +5,12 @@
 /// path the "lstm"/"gru" forecasters use). The sweep covers cells x hidden
 /// x kernel widths; every cell of the table re-checks the determinism
 /// contract (forecast_one bit-equals its batch row, widths bit-agree).
-/// Both gates drive the exit code, so CI's bench-smoke run fails loudly
-/// when the runtime loses either its speedup or its equivalence
-/// guarantees.
+/// A third gate holds the pool to paying for itself: at the largest city
+/// (hidden 16) the auto-width refresh may take at most 1.1x the width-1
+/// time — the slack covers single-core runners, where auto is width 1.
+/// All three gates drive the exit code, so CI's bench-smoke run fails
+/// loudly when the runtime loses its speedup, its pool scaling or its
+/// equivalence guarantees.
 ///
 /// The per-cell baseline times forecast_one on a deterministic subsample
 /// of cells and extrapolates linearly to the full city (documented in the
@@ -112,7 +115,9 @@ int main() {
 
   bool all_identical = true;
   bool speedup_ok = false;
+  bool pool_ok = false;
   double headline_batch = 0.0;
+  double headline_serial = 0.0;
   double headline_percell = 0.0;
 
   for (const int hidden : {8, 16}) {
@@ -176,10 +181,14 @@ int main() {
         const bool identical = widths_identical && one_identical;
         all_identical = all_identical && identical;
 
+        if (hidden == 16 && cells == max_cells && width == 1) {
+          headline_serial = batch_ms;
+        }
         if (hidden == 16 && cells == max_cells && width == 0) {
           headline_batch = batch_ms;
           headline_percell = percell_ms;
           speedup_ok = percell_ms >= 10.0 * batch_ms;
+          pool_ok = batch_ms <= 1.1 * headline_serial;
         }
         std::cout << bench::cell(std::to_string(cells), 8)
                   << bench::cell(width == 0 ? "auto" : std::to_string(width), 7)
@@ -201,5 +210,9 @@ int main() {
                     : "equivalence: MISMATCH (determinism contract violated)\n");
   std::cout << (speedup_ok ? "speedup gate (>= 10x): passed\n"
                            : "speedup gate (>= 10x): FAILED\n");
-  return (all_identical && speedup_ok) ? 0 : 1;
+  std::cout << "pool gate (auto <= 1.1x width 1): "
+            << bench::fmt(headline_batch, 3) << " ms auto vs "
+            << bench::fmt(headline_serial, 3) << " ms width 1: "
+            << (pool_ok ? "passed\n" : "FAILED\n");
+  return (all_identical && speedup_ok && pool_ok) ? 0 : 1;
 }

@@ -321,24 +321,31 @@ void BatchRnn::run_batch_forward(const float* win, std::size_t batch,
   const bool lstm = config_.kind == RnnKind::kLstm;
 
   // Cache-blocked inference: cells are independent across the whole
-  // recurrence, so large batches run one kForwardTile-cell tile at a time —
-  // the tile's z/h/c planes stay L2-resident across all timesteps instead
-  // of streaming through DRAM once per step. Per-element arithmetic is
-  // identical whatever the tile boundaries (each cell's chain never reads
-  // another cell), so tiling preserves the bit-identity contract. The fit
-  // path (caches != nullptr) stays untiled: BPTT wants full-batch
-  // activation planes, and training is gradient-bound anyway.
+  // recurrence, so large batches run in kForwardTile-cell tiles — a tile's
+  // z/h/c planes stay L2-resident across all timesteps instead of streaming
+  // through DRAM once per step. Whole tiles are the parallel unit: each
+  // chunk runs its tile's full recurrence in its own Scratch with the
+  // kernels at width 1, so a refresh is one parallel region instead of one
+  // per (tile, timestep, gate block). Per-element arithmetic is identical
+  // whatever the tile boundaries and kernel widths (each cell's chain never
+  // reads another cell), so this preserves the bit-identity contract. The
+  // fit path (caches != nullptr) stays untiled: BPTT wants full-batch
+  // activation planes, and its kernels keep the per-op fan-out.
   if (caches == nullptr && batch > kForwardTile) {
-    for (std::size_t start = 0; start < batch; start += kForwardTile) {
-      const std::size_t tile = std::min(kForwardTile, batch - start);
-      s.tile_win.resize(t_len * tile);
-      for (std::size_t t = 0; t < t_len; ++t) {
-        const float* row = win + t * batch + start;
-        std::copy(row, row + tile, s.tile_win.data() + t * tile);
-      }
-      run_batch_forward(s.tile_win.data(), tile, width, y + start, s,
-                        nullptr);
-    }
+    exec::parallel_for(
+        batch, /*grain=*/kForwardTile,
+        [&](std::size_t start, std::size_t end, std::size_t) {
+          const std::size_t tile = end - start;
+          Scratch ts;
+          ts.tile_win.resize(t_len * tile);
+          for (std::size_t t = 0; t < t_len; ++t) {
+            const float* row = win + t * batch + start;
+            std::copy(row, row + tile, ts.tile_win.data() + t * tile);
+          }
+          run_batch_forward(ts.tile_win.data(), tile, /*width=*/1, y + start,
+                            ts, nullptr);
+        },
+        width);
     return;
   }
 

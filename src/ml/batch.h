@@ -98,7 +98,7 @@ class BatchRnn {
   [[nodiscard]] const std::vector<float>& parameters() const { return params_; }
 
  private:
-  struct Scratch;     // inference planes, reused across horizon steps
+  struct Scratch;     // inference planes (one per tile on the tiled path)
   struct FitCaches;   // per-(layer, timestep) activation planes for BPTT
 
   void init_params(std::uint64_t seed);

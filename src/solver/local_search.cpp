@@ -1,5 +1,6 @@
 #include "solver/local_search.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -39,26 +40,69 @@ struct Move {
   std::size_t force_close;
 };
 
-/// Total cost of `open` with the move's overrides applied, scanning
-/// facilities in ascending index order exactly like the pre-oracle
-/// evaluate() did; returns infinity for an empty effective set.
+/// Each client's two cheapest connections over the current open set:
+/// best[j] is the nearest open cost, nearest[j] the lowest-index facility
+/// attaining it, and second[j] the cheapest over the other open facilities
+/// (equal to best[j] on a tie, infinity with one facility open).
+struct OpenNearest {
+  std::vector<double> best;
+  std::vector<double> second;
+  std::vector<std::size_t> nearest;
+};
+
+OpenNearest nearest_open(const CostOracle& oracle,
+                         const std::vector<bool>& open) {
+  const std::size_t nf = open.size();
+  const std::size_t nc = oracle.instance().clients.size();
+  OpenNearest near{std::vector<double>(nc, kInf),
+                   std::vector<double>(nc, kInf),
+                   std::vector<std::size_t>(nc, nf)};
+  for (std::size_t i = 0; i < nf; ++i) {
+    if (!open[i]) continue;
+    const std::vector<double>& row = oracle.row(i);
+    for (std::size_t j = 0; j < nc; ++j) {
+      const double c = row[j];
+      if (c < near.best[j]) {
+        near.second[j] = near.best[j];
+        near.best[j] = c;
+        near.nearest[j] = i;
+      } else if (c < near.second[j]) {
+        near.second[j] = c;
+      }
+    }
+  }
+  return near;
+}
+
+/// Total cost of `open` with the move's overrides applied, in
+/// O(facilities + clients): opening costs summed in ascending facility
+/// order, then each client's cheapest connection in ascending client
+/// order. That connection is the nearest open cost — or the second-nearest
+/// when the move closes the nearest facility — min'd with the opened
+/// facility's cost. min is exact, so every total is bit-identical to
+/// rescanning the effective open set's rows. Returns infinity for an
+/// empty effective set.
 double evaluate(const CostOracle& oracle, const std::vector<bool>& open,
-                std::size_t force_open, std::size_t force_close) {
+                const OpenNearest& near, std::size_t force_open,
+                std::size_t force_close) {
   const FlInstance& inst = oracle.instance();
   const std::size_t nf = open.size();
   double total = 0.0;
-  std::vector<const std::vector<double>*> rows;
+  bool any_open = false;
   for (std::size_t i = 0; i < nf; ++i) {
     const bool on = (open[i] || i == force_open) && i != force_close;
     if (on) {
       total += inst.facilities[i].opening_cost;
-      rows.push_back(&oracle.row(i));
+      any_open = true;
     }
   }
-  if (rows.empty()) return kInf;
+  if (!any_open) return kInf;
+  const std::vector<double>* opened =
+      force_open < nf ? &oracle.row(force_open) : nullptr;
   for (std::size_t j = 0; j < inst.clients.size(); ++j) {
-    double best = kInf;
-    for (const auto* row : rows) best = std::min(best, (*row)[j]);
+    double best =
+        near.nearest[j] == force_close ? near.second[j] : near.best[j];
+    if (opened != nullptr) best = std::min(best, (*opened)[j]);
     total += best;
   }
   return total;
@@ -92,7 +136,8 @@ FlSolution local_search(const CostOracle& oracle, const FlSolution& initial,
     }
     open[i] = true;
   }
-  double current = evaluate(oracle, open, nf, nf);
+  OpenNearest near = nearest_open(oracle, open);
+  double current = evaluate(oracle, open, near, nf, nf);
 
   std::vector<Move> moves;
   std::vector<double> move_cost;
@@ -125,13 +170,13 @@ FlSolution local_search(const CostOracle& oracle, const FlSolution& initial,
     // Per-index writes into move_cost: safe for any chunking, and the
     // sequential selection below reads them in canonical move order, so
     // the result never depends on the width. The grain is a fixed
-    // constant; each move evaluation is O(open * clients).
+    // constant; each move evaluation is O(facilities + clients).
     move_cost.assign(moves.size(), kInf);
     exec::parallel_for(
         moves.size(), /*grain=*/4,
         [&](std::size_t b, std::size_t e, std::size_t) {
           for (std::size_t m = b; m < e; ++m) {
-            move_cost[m] = evaluate(oracle, open, moves[m].force_open,
+            move_cost[m] = evaluate(oracle, open, near, moves[m].force_open,
                                     moves[m].force_close);
           }
         },
@@ -150,6 +195,7 @@ FlSolution local_search(const CostOracle& oracle, const FlSolution& initial,
     if (best_open < nf) open[best_open] = true;
     if (best_close < nf) open[best_close] = false;
     current = best;
+    near = nearest_open(oracle, open);
   }
 
   std::vector<std::size_t> open_set;

@@ -9,7 +9,13 @@
 /// greedy/primal-dual algorithms and as another cross-check in tests.
 ///
 /// Connection costs come from a CostOracle (rows materialized once, not
-/// per scan). Candidate-move evaluation can be partitioned across threads:
+/// per scan). Moves are scored from each client's nearest and
+/// second-nearest open facility, recomputed after every accepted move: a
+/// move costs O(facilities + clients) instead of O(open * clients), and
+/// because min is exact and the sums keep their ascending order, every
+/// move cost is bit-identical to rescanning the open rows (pinned against
+/// solver::reference::local_search). Candidate-move evaluation can be
+/// partitioned across threads:
 /// every move's cost is computed independently, then the winning move is
 /// selected by a sequential scan in the canonical move order (opens,
 /// closes, swaps), so results are bit-identical for every num_threads.

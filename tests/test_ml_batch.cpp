@@ -6,7 +6,8 @@
 ///   * MlBatchEquivalence — the determinism tentpole: forecast_one
 ///     (batch = 1) bit-equals any batch row, batches are invariant to
 ///     batch composition, and fit + forecast are bit-identical at every
-///     exec pool width.
+///     exec pool width, including batches that span several inference
+///     tiles.
 ///   * MlBatchLearning — the shared-weight model actually learns the
 ///     common diurnal shape across cells.
 
@@ -14,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -275,6 +278,66 @@ TEST_P(MlBatchEquivalence, ExplicitKernelWidthsAgree) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       for (std::size_t t = 0; t < 3; ++t) {
         EXPECT_EQ(other[c][t], base[c][t]);
+      }
+    }
+  }
+}
+
+TEST_P(MlBatchEquivalence, TiledForecastBitIdentical) {
+  // Batches past one inference tile (kForwardTile = 512 cells in batch.cpp)
+  // run tile by tile on the pool; sizes straddle the tile edge so the last
+  // tile is partial, and horizon 3 slides the window across tiles.
+  constexpr std::size_t kTile = 512;
+  constexpr std::size_t kHorizon = 3;
+  BatchRnnConfig cfg = tiny_config(GetParam());
+  cfg.hidden = 12;
+  cfg.lookback = 8;
+  cfg.epochs = 4;
+  BatchRnn model(cfg);
+  model.fit(city_fixture(9, 72));
+  const auto all = city_fixture(1100, 40);
+  const std::size_t default_width = exec::global_threads();
+
+  for (const std::size_t n : {std::size_t{511}, std::size_t{512},
+                              std::size_t{513}, std::size_t{1100}}) {
+    const std::vector<Series> cells(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
+    const auto expect_rows = [&](const std::vector<Series>& fc,
+                                 const std::vector<Series>& base,
+                                 const std::string& what) {
+      ASSERT_EQ(fc.size(), n) << what;
+      for (std::size_t c = 0; c < n; ++c) {
+        ASSERT_EQ(fc[c].size(), kHorizon) << what;
+        for (std::size_t t = 0; t < kHorizon; ++t) {
+          ASSERT_EQ(fc[c][t], base[c][t])
+              << what << " cells " << n << " cell " << c << " step " << t;
+        }
+      }
+    };
+
+    std::vector<Series> base;
+    {
+      ScopedThreads scoped(1);
+      base = model.forecast(cells, kHorizon);
+    }
+    for (const std::size_t pool :
+         {std::size_t{2}, std::size_t{4}, default_width}) {
+      ScopedThreads scoped(pool);
+      expect_rows(model.forecast(cells, kHorizon), base,
+                  "pool " + std::to_string(pool));
+    }
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      expect_rows(model.forecast(cells, kHorizon, width), base,
+                  "width " + std::to_string(width));
+    }
+    for (std::size_t start = 0; start < n; start += kTile) {
+      for (const std::size_t c : {start, std::min(n, start + kTile) - 1}) {
+        const Series solo = model.forecast_one(cells[c], kHorizon);
+        for (std::size_t t = 0; t < kHorizon; ++t) {
+          EXPECT_EQ(solo[t], base[c][t])
+              << "cells " << n << " cell " << c << " step " << t;
+        }
       }
     }
   }

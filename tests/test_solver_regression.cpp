@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/deviation_placer.h"
 #include "core/penalty.h"
 #include "obs/metrics.h"
 #include "solver/cost_oracle.h"
+#include "solver/instance_delta.h"
 #include "solver/jms_greedy.h"
 #include "solver/k_median.h"
 #include "solver/local_search.h"
 #include "solver/reference.h"
+#include "solver/reopt.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -81,6 +84,23 @@ TEST(SolverRegression, JmsGreedyIsThreadCountInvariant) {
   }
 }
 
+/// The hourly re-plan's shape: `n` colocated sites where every tenth site
+/// duplicates its predecessor's location, so a client's nearest and
+/// second-nearest open connection costs tie exactly when both are open.
+FlInstance colocated_with_duplicates(stats::Rng& rng, std::size_t n,
+                                     double f) {
+  const std::vector<Point> points =
+      stats::uniform_points(rng, {{0, 0}, {3000, 3000}}, n);
+  std::vector<FlClient> clients;
+  std::vector<double> costs;
+  for (std::size_t j = 0; j < n; ++j) {
+    clients.push_back({j % 10 == 9 ? points[j - 1] : points[j],
+                       rng.uniform(0.5, 4.0)});
+    costs.push_back(f * rng.uniform(0.5, 1.5));
+  }
+  return colocated_instance(std::move(clients), std::move(costs));
+}
+
 TEST(SolverRegression, LocalSearchMatchesReference) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     stats::Rng rng(seed * 13);
@@ -92,6 +112,67 @@ TEST(SolverRegression, LocalSearchMatchesReference) {
       expect_identical(local_search(inst, initial, opts),
                        reference::local_search(inst, initial, opts));
     }
+  }
+  // 200 colocated sites with duplicated locations, priced like the hourly
+  // re-plan's. Starts: one open site (its close move empties the set and
+  // must cost infinity) and five open duplicate pairs (exact
+  // nearest/second-nearest ties from the start). The reference rescans
+  // every open row per move, so swaps run on one start only.
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    stats::Rng rng(seed * 29);
+    const auto inst = colocated_with_duplicates(rng, 200, 15000.0);
+    const std::vector<std::vector<std::size_t>> starts{
+        {0}, {8, 9, 48, 49, 88, 89, 128, 129, 168, 169}};
+    for (const auto& start : starts) {
+      const auto initial = assign_to_open(inst, start);
+      for (bool swaps : {true, false}) {
+        if (swaps && (seed != 1 || start.size() != 1)) continue;
+        SCOPED_TRACE("seed " + std::to_string(seed) + " open " +
+                     std::to_string(start.size()) + " swaps " +
+                     std::to_string(swaps));
+        LocalSearchOptions opts;
+        opts.allow_swaps = swaps;
+        expect_identical(local_search(inst, initial, opts),
+                         reference::local_search(inst, initial, opts));
+      }
+    }
+  }
+}
+
+/// A 10-epoch drift through a warm ReoptimizationSession at the hourly
+/// re-plan's shape, replayed with the frozen reference local search: each
+/// epoch's plan must equal the reference polish of the carried open set on
+/// the post-delta instance.
+TEST(SolverRegression, ReoptDriftSequenceMatchesReferenceReplay) {
+  stats::Rng rng(211);
+  const auto price = [](Point) { return 15000.0; };
+  ReoptimizationSession session(random_colocated(rng, 200, 15000.0), {},
+                                price);
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    std::vector<FlClient> target = session.instance().clients;
+    for (std::size_t j = static_cast<std::size_t>(epoch) % 3;
+         j < target.size(); j += 3) {
+      target[j].weight = rng.uniform(0.5, 4.0);
+    }
+    target.erase(target.begin() + 5 * epoch, target.begin() + 5 * epoch + 2);
+    for (Point p : stats::uniform_points(rng, {{0, 0}, {3000, 3000}}, 2)) {
+      target.push_back({p, rng.uniform(0.5, 4.0)});
+    }
+
+    FlInstance replay = session.instance();
+    const InstanceDelta delta = diff_colocated(replay, target, price);
+    const std::vector<std::size_t> carried =
+        remap_open_set(session.solution().open, delta);
+    apply_delta(replay, delta);
+    ASSERT_FALSE(carried.empty());
+
+    const FlSolution& got = session.reoptimize_to(target);
+    EXPECT_FALSE(session.last_stats().cold);
+    LocalSearchOptions opts;
+    opts.allow_swaps = ReoptOptions{}.allow_swaps;
+    expect_identical(got, reference::local_search(
+                              replay, assign_to_open(replay, carried), opts));
   }
 }
 

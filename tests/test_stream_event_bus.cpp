@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -233,6 +234,16 @@ TEST(StreamEventBus, BlockedPublisherResumesAfterDrain) {
   std::thread producer([&] {
     for (int i = 0; i < kTotal; ++i) (void)bus.publish(trip_end(0, 0));
   });
+  // Drain only once the producer is parked on the full ring: a consumer
+  // that keeps up would otherwise never let the ring fill. The deadline
+  // keeps a publisher that never blocks from hanging the test; the
+  // assertion below then reports it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (bus.stats().blocked_publishes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   std::vector<Event> out;
   while (out.size() < static_cast<std::size_t>(kTotal)) {
     if (bus.drain(0, out) == 0) std::this_thread::yield();
