@@ -2,8 +2,7 @@
 /// End-to-end metro-scale ingestion bench: a synthetic 40 km city emitting
 /// one trip-end per second (~86k trips/day scaled up by ESHARING_METRO_EVENTS)
 /// is replayed through the stream::Pipeline serving path at every point of a
-/// (shards × lanes) matrix, plus a transport-only row measuring the raw
-/// publish/drain/merge peak rate.
+/// (shards × lanes) matrix.
 ///
 /// Printed per serving row: elapsed, events/s, speedup over the 1-shard
 /// baseline, KS regime checks, and the pipeline's own obs counters — lane
@@ -166,27 +165,6 @@ ServingRun run_serving(std::size_t shards, std::size_t lanes,
   return out;
 }
 
-double run_transport(std::size_t shards, const std::vector<stream::Event>& log) {
-  stream::PipelineConfig cfg;
-  cfg.bus.shard_count = shards;
-  cfg.bus.queue_capacity = 4096;
-  cfg.bus.max_batch = 256;
-  stream::Pipeline pipeline(cfg);
-  std::size_t consumed = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t i = 0;
-  while (i < log.size()) {
-    const std::size_t n = std::min<std::size_t>(4096, log.size() - i);
-    pipeline.publish_batch(
-        std::span<const stream::Event>(log).subspan(i, n));
-    consumed += pipeline.pump_into([](const stream::Event&) {});
-    i += n;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(consumed) / elapsed_s;
-}
-
 bool same_decisions(const std::vector<esharing::solver::OnlineDecision>& a,
                     const std::vector<esharing::solver::OnlineDecision>& b) {
   if (a.size() != b.size()) return false;
@@ -257,14 +235,6 @@ int main() {
                         0)
                 << '\n';
     }
-  }
-
-  esharing::bench::print_title("transport-only peak rate (no serving tier)");
-  std::cout << cell("shards", 7) << cell("events/s", 13) << '\n';
-  esharing::bench::print_rule(20);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    std::cout << cell(static_cast<double>(shards), 7, 0)
-              << cell(run_transport(shards, log), 13, 0) << '\n';
   }
 
   if (rate_8 < 5.0 * base_rate) {

@@ -201,8 +201,14 @@ ServeTunables ServeDaemon::tunables() const {
 ServeStatus ServeDaemon::status() const {
   ServeStatus s;
   s.state = state();
-  s.events_consumed = events_consumed_.load(std::memory_order_relaxed);
-  s.decisions = decisions_.load(std::memory_order_relaxed);
+  {
+    // A decide is answered inside the pump, before the pump counts its
+    // round: wait out a pump in progress, so every answered decide is
+    // already counted in events_consumed.
+    const es::LockGuard lock(pump_mu_);
+    s.events_consumed = events_consumed_.load(std::memory_order_relaxed);
+    s.decisions = decisions_.load(std::memory_order_relaxed);
+  }
   {
     const es::LockGuard lock(ckpt_mu_);
     s.checkpoints = checkpoints_done_;
@@ -435,11 +441,20 @@ void ServeDaemon::on_decision(const stream::Event& e,
   pending.conn->send(encode_decision(reply));
 }
 
+std::size_t ServeDaemon::pump_counted() {
+  const es::LockGuard lock(pump_mu_);
+  const std::size_t n = pipeline_.pump_decisions(
+      [this](const stream::Event& e, const solver::OnlineDecision& d) {
+        on_decision(e, d);
+      });
+  if (n > 0) {
+    events_consumed_.fetch_add(n, std::memory_order_relaxed);
+    consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
+  }
+  return n;
+}
+
 bool ServeDaemon::do_checkpoint() {
-  const auto cb = [this](const stream::Event& e,
-                         const solver::OnlineDecision& d) {
-    on_decision(e, d);
-  };
   // Quiesce publishers, then pump the queues dry: save_checkpoint's
   // queues-drained contract (checkpoint.h) demands an empty bus.
   {
@@ -447,11 +462,8 @@ bool ServeDaemon::do_checkpoint() {
     gate_paused_ = true;
     while (in_flight_publishes_ > 0) gate_cv_.wait(lock);
   }
-  for (;;) {
-    const std::size_t n = pipeline_.pump_decisions(cb);
-    if (n == 0) break;
-    events_consumed_.fetch_add(n, std::memory_order_relaxed);
-    consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
+  while (pump_counted() > 0) {
+    // until the queues are dry
   }
   bool ok = true;
   try {
@@ -482,16 +494,8 @@ bool ServeDaemon::do_checkpoint() {
 }
 
 void ServeDaemon::pump_loop() {
-  const auto cb = [this](const stream::Event& e,
-                         const solver::OnlineDecision& d) {
-    on_decision(e, d);
-  };
   for (;;) {
-    const std::size_t n = pipeline_.pump_decisions(cb);
-    if (n > 0) {
-      events_consumed_.fetch_add(n, std::memory_order_relaxed);
-      consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
-    }
+    const std::size_t n = pump_counted();
     const ServeTunables t = tunables();
     const bool has_path = !config_.checkpoint_path.empty();
     if (checkpoint_requested_.exchange(false, std::memory_order_acq_rel)) {
@@ -509,10 +513,7 @@ void ServeDaemon::pump_loop() {
     if (drained) {
       // One confirming pump: everything published before the last reader
       // exited must be consumed before the final checkpoint.
-      const std::size_t tail = pipeline_.pump_decisions(cb);
-      if (tail == 0) break;
-      events_consumed_.fetch_add(tail, std::memory_order_relaxed);
-      consumed_since_checkpoint_.fetch_add(tail, std::memory_order_relaxed);
+      if (pump_counted() == 0) break;
       continue;
     }
     std::this_thread::sleep_for(

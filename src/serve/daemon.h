@@ -152,6 +152,9 @@ class ServeDaemon {
   /// Pause publishers, pump the queues dry, save crash-atomically, resume.
   /// Runs on the pump thread only. Returns false when saving failed.
   bool do_checkpoint();
+  /// One Pipeline::pump_decisions call under pump_mu_, with the consumed
+  /// events counted before the lock is released. Pump thread only.
+  std::size_t pump_counted();
   void on_decision(const stream::Event& e, const solver::OnlineDecision& d);
   void set_state(DaemonState s);
   [[nodiscard]] ServeTunables tunables() const;
@@ -202,6 +205,9 @@ class ServeDaemon {
   std::thread accept_thread_;  // lint-ok: raw-thread blocks in poll/accept
   std::thread pump_thread_;    // lint-ok: raw-thread resident consumer loop
 
+  // Held across one pump and its count update; status() takes it so a
+  // decide answered inside a pump is never reported as unconsumed.
+  mutable es::Mutex pump_mu_;
   std::atomic<std::uint64_t> events_consumed_{0};
   std::atomic<std::uint64_t> decisions_{0};
   std::atomic<std::uint64_t> reloads_{0};

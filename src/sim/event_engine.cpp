@@ -49,7 +49,6 @@ bool EventEngine::step() {
   now_ = entry.when;
   ++executed_;
   entry.handler();
-  if (post_event_hook_) post_event_hook_();
   return true;
 }
 

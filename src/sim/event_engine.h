@@ -38,13 +38,6 @@ class EventEngine {
   /// Execute at most one event; returns false if the queue is empty.
   bool step();
 
-  /// Install a hook invoked after every executed event (after its handler
-  /// returns). The intended use is draining a bounded stream::EventBus the
-  /// handlers publish into, so a kBlock ring can never stall the single
-  /// simulation thread; any side channel works. Pass a null function to
-  /// clear. The hook must not call step()/run() reentrantly.
-  void set_post_event_hook(Handler hook) { post_event_hook_ = std::move(hook); }
-
   [[nodiscard]] Seconds now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::size_t executed() const { return executed_; }
@@ -63,7 +56,6 @@ class EventEngine {
   };
 
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  Handler post_event_hook_;
   Seconds now_{0};
   std::uint64_t next_sequence_{0};
   std::size_t executed_{0};

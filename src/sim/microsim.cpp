@@ -78,24 +78,9 @@ std::optional<std::size_t> MicroSimulation::find_bike(Point from,
   return best_bike;
 }
 
-void MicroSimulation::attach_stream(
-    stream::EventBus* bus,
-    std::function<void(const std::vector<stream::Event>&)> on_batch) {
-  stream_bus_ = bus;
-  stream_on_batch_ = std::move(on_batch);
-}
-
 void MicroSimulation::handle_request(Point origin, Point destination,
                                      MicroSimMetrics& metrics) {
   ++metrics.demand;
-  if (stream_bus_ != nullptr) {
-    stream::Event e;
-    e.kind = stream::EventKind::kTripEnd;
-    e.time = engine_.now();
-    e.where = destination;
-    e.origin = origin;
-    stream_bus_->publish(e);
-  }
 
   // Any parked bike within reach at all?
   bool any_reachable = false;
@@ -132,17 +117,6 @@ void MicroSimulation::handle_request(Point origin, Point destination,
     bikes_[b].in_ride = false;
     bikes_[b].position = parking;
     fleet_.ride(b, ride_m);
-    if (stream_bus_ != nullptr) {
-      // Post-ride residual-battery report: the telemetry feed that keeps
-      // the stream-side low-battery watchlist fresh.
-      stream::Event e;
-      e.kind = stream::EventKind::kBatteryLevel;
-      e.time = engine_.now();
-      e.where = parking;
-      e.bike_id = static_cast<std::int64_t>(b);
-      e.soc = fleet_.soc(b);
-      stream_bus_->publish(e);
-    }
   });
 }
 
@@ -194,14 +168,7 @@ MicroSimMetrics MicroSimulation::run(const std::vector<TripRecord>& live) {
     engine_.schedule(at, [this, &metrics]() { charging_shift(metrics); });
   }
 
-  if (stream_bus_ != nullptr && stream_on_batch_) {
-    engine_.set_post_event_hook([this]() {
-      std::vector<stream::Event> batch;
-      if (stream_bus_->drain_all_ordered(batch) > 0) stream_on_batch_(batch);
-    });
-  }
   engine_.run();
-  engine_.set_post_event_hook(nullptr);
   return metrics;
 }
 

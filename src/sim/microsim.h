@@ -13,7 +13,6 @@
 /// service").
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "energy/battery.h"
 #include "sim/event_engine.h"
 #include "stats/rng.h"
-#include "stream/event_bus.h"
 
 namespace esharing::sim {
 
@@ -70,19 +68,6 @@ class MicroSimulation {
   /// this run. \throws std::logic_error if bootstrap was not called.
   MicroSimMetrics run(const std::vector<data::TripRecord>& live);
 
-  /// Tee the simulated telemetry onto a stream bus: every demand request
-  /// publishes a kTripEnd event (origin + destination, the tier-one
-  /// signal) and every ride completion a kBatteryLevel report with the
-  /// bike's post-ride state of charge — the same feed a deployed system
-  /// would crawl. When `on_batch` is set, the event engine drains the bus
-  /// in merged seq order after every simulation event and hands the batch
-  /// over (so a bounded kBlock ring can never stall the simulation
-  /// thread); without it the caller drains. `bus` must outlive run();
-  /// nullptr detaches.
-  void attach_stream(
-      stream::EventBus* bus,
-      std::function<void(const std::vector<stream::Event>&)> on_batch = {});
-
   [[nodiscard]] const core::ESharing& system() const { return system_; }
   [[nodiscard]] const energy::BikeFleet& fleet() const { return fleet_; }
 
@@ -107,8 +92,6 @@ class MicroSimulation {
   energy::BikeFleet fleet_;
   std::vector<BikeState> bikes_;
   EventEngine engine_;
-  stream::EventBus* stream_bus_{nullptr};
-  std::function<void(const std::vector<stream::Event>&)> stream_on_batch_;
   bool bootstrapped_{false};
 };
 

@@ -85,9 +85,6 @@ void SimConfig::validate() const {
     fail("history_sample_cap", 0.0,
          "the KS reference needs at least one historical destination");
   }
-  // The nested pipeline config carries its own messages (EventBusConfig /
-  // PlacerDriverConfig / IncentiveDriverConfig name the offending field).
-  stream.validate();
   if (reanchor_period < 0) {
     fail("reanchor_period", static_cast<double>(reanchor_period),
          "the landmark re-anchor cadence is a duration in seconds; use 0 "
@@ -246,17 +243,7 @@ void Simulation::close_charging_period(SimMetrics& metrics) {
 void Simulation::maybe_reanchor(Seconds as_of) {
   const auto snap = demand_state_->snapshot(as_of);
   if (snap.cells.size() < config_.reanchor_min_cells) return;
-  const double cell = config_.reanchor_state.cell_m;
-  std::vector<data::DemandSite> sites;
-  sites.reserve(snap.cells.size());
-  for (const auto& c : snap.cells) {
-    data::DemandSite site;
-    site.location = {(static_cast<double>(c.cx) + 0.5) * cell,
-                     (static_cast<double>(c.cy) + 0.5) * cell};
-    site.arrivals = static_cast<double>(c.count);
-    sites.push_back(site);
-  }
-  system_.reanchor(sites);
+  system_.reanchor(snap.demand_sites(config_.reanchor_state.cell_m));
   // A re-anchor can establish stations; keep the inventory vector parallel.
   station_bikes_.resize(system_.placer().stations().size(), 0);
   ++reanchors_;
@@ -342,17 +329,6 @@ void Simulation::process_trip(const TripRecord& trip, SimMetrics& metrics) {
   if (obs::enabled()) SimObsMetrics::get().trips.add();
 }
 
-void Simulation::finalize(SimMetrics& metrics) {
-  // Flush the open period so its incentives/charging land in the metrics.
-  close_charging_period(metrics);
-  next_round_at_ += config_.charging_period;
-
-  metrics.stations_final = system_.placer().num_active();
-  metrics.stations_online_opened = system_.placer().num_online_opened();
-  metrics.stations_removed = stations_removed_;
-  metrics.reanchors = reanchors_;
-}
-
 SimMetrics Simulation::run(const std::vector<TripRecord>& live) {
   if (!bootstrapped_) {
     throw std::logic_error("Simulation::run: bootstrap first");
@@ -362,55 +338,14 @@ SimMetrics Simulation::run(const std::vector<TripRecord>& live) {
 
   SimMetrics metrics;
   for (const auto& trip : trips) process_trip(trip, metrics);
-  finalize(metrics);
-  return metrics;
-}
 
-SimMetrics Simulation::run_streamed(const std::vector<TripRecord>& live,
-                                    stream::BusStats* bus_stats) {
-  if (!bootstrapped_) {
-    throw std::logic_error("Simulation::run_streamed: bootstrap first");
-  }
-  std::vector<TripRecord> trips = live;
-  data::sort_by_start_time(trips);
-
-  // Transport-mode pipeline: parallel shard drains + merge-by-seq, with
-  // this simulator's process_trip as the sequential consumer. Consuming in
-  // merged seq order reproduces the sorted trip order exactly, so the
-  // mutation sequence (placer, RNG, fleet) matches run() bit for bit at
-  // any shard count and lane count.
-  stream::Pipeline pipeline(config_.stream);
-  SimMetrics metrics;
-  const auto consume = [&](const stream::Event& e) {
-    process_trip(trips[static_cast<std::size_t>(e.ref)], metrics);
-  };
-
-  // Publish in batches bounded by the ring capacity and pump between
-  // them: the worst case routes a whole batch to one shard, so a kBlock
-  // bus can never deadlock this single-threaded replay.
-  const std::size_t capacity = config_.stream.bus.queue_capacity;
-  std::vector<stream::Event> chunk;
-  chunk.reserve(std::min(capacity, trips.size()));
-  for (std::size_t i = 0; i < trips.size(); ++i) {
-    const TripRecord& trip = trips[i];
-    stream::Event e;
-    e.kind = stream::EventKind::kTripEnd;
-    e.time = trip.start_time;
-    e.where = city_.end_point(trip);
-    e.origin = city_.start_point(trip);
-    e.bike_id = trip.bike_id;
-    e.ref = static_cast<std::int64_t>(i);
-    chunk.push_back(e);
-    if (chunk.size() == capacity) {
-      pipeline.publish_batch(chunk);
-      pipeline.pump_into(consume);
-      chunk.clear();
-    }
-  }
-  pipeline.publish_batch(chunk);
-  pipeline.pump_into(consume);
-  finalize(metrics);
-  if (bus_stats != nullptr) *bus_stats = pipeline.stats().bus;
+  // Flush the open period so its incentives/charging land in the metrics.
+  close_charging_period(metrics);
+  next_round_at_ += config_.charging_period;
+  metrics.stations_final = system_.placer().num_active();
+  metrics.stations_online_opened = system_.placer().num_online_opened();
+  metrics.stations_removed = stations_removed_;
+  metrics.reanchors = reanchors_;
   return metrics;
 }
 

@@ -10,6 +10,7 @@
 /// Fig. 11/12 + Table VI benches run on.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/esharing.h"
@@ -19,19 +20,9 @@
 #include "geo/point.h"
 #include "geo/spatial_index.h"
 #include "stats/rng.h"
-#include "stream/pipeline.h"
 #include "stream/stream_state.h"
 
 namespace esharing::sim {
-
-/// SimConfig's streaming defaults: one shard, modest rings (1024 — the
-/// replay pumps at the ring cadence, so smaller rings mean more pump
-/// interleaving, which is what the regression tests exercise).
-[[nodiscard]] inline stream::PipelineConfig default_stream_config() {
-  stream::PipelineConfig config;
-  config.bus.queue_capacity = 1024;
-  return config;
-}
 
 struct SimConfig {
   core::ESharingConfig esharing;
@@ -48,20 +39,11 @@ struct SimConfig {
   /// up, the station is removed from P (the online algorithm may establish
   /// one there again later based on demand).
   bool remove_empty_stations{true};
-  /// Streaming-replay config (run_streamed): trips are batch-published
-  /// onto a transport-mode stream::Pipeline and consumed in merged publish
-  /// order, which is regression-tested to be bit-identical to run() at any
-  /// (shard count, lane count). Only the transport knobs — `bus`, `lanes`,
-  /// `pump_every` — drive the replay; the serving sub-configs (placer,
-  /// incentive) ride along for validation because the simulator keeps its
-  /// own process_trip serving path.
-  stream::PipelineConfig stream = default_stream_config();
   /// Landmark re-anchor cadence (incremental re-optimization engine):
   /// every this many seconds of sim time, the recent demand window is
   /// snapshotted into demand sites and ESharing::reanchor warm re-solves
   /// the offline plan, re-anchoring the online placer's landmarks
-  /// (0 disables). Runs in the shared per-trip path, so run() and
-  /// run_streamed() stay bit-identical at any shard count.
+  /// (0 disables). Runs in the per-trip path, in trip order.
   data::Seconds reanchor_period{0};
   /// Sliding demand window feeding scheduled re-anchors.
   stream::StreamStateConfig reanchor_state;
@@ -113,16 +95,6 @@ class Simulation {
   /// \throws std::logic_error if bootstrap was not called.
   SimMetrics run(const std::vector<data::TripRecord>& live);
 
-  /// Replay the same trip stream through the esharing::stream front door:
-  /// every trip is published onto a bounded sharded EventBus (knobs in
-  /// SimConfig) and consumed in merged seq order. Produces bit-identical
-  /// metrics, station sets and incentive payouts to run() at any shard
-  /// count — the end-to-end regression the stream tests lock in. The
-  /// optional `bus_stats` receives the bus counters of the replay.
-  /// \throws std::logic_error if bootstrap was not called.
-  SimMetrics run_streamed(const std::vector<data::TripRecord>& live,
-                          stream::BusStats* bus_stats = nullptr);
-
   [[nodiscard]] const core::ESharing& system() const { return system_; }
   [[nodiscard]] const energy::BikeFleet& fleet() const { return fleet_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
@@ -134,12 +106,10 @@ class Simulation {
   /// demand window, warm re-solve, re-anchor the placer (skipped while the
   /// window holds fewer than reanchor_min_cells cells).
   void maybe_reanchor(data::Seconds as_of);
-  /// The shared per-trip logic of run() and run_streamed(): charging-period
-  /// rollover, tier-one request, footnote-2 removal, tier-two offer, bike
-  /// movement and metric accrual.
+  /// The per-trip logic of run(): charging-period rollover, tier-one
+  /// request, footnote-2 removal, tier-two offer, bike movement and metric
+  /// accrual.
   void process_trip(const data::TripRecord& trip, SimMetrics& metrics);
-  /// Flush the open charging period and fill the station-count metrics.
-  void finalize(SimMetrics& metrics);
   /// Index of the nearest active placer station to `p`.
   [[nodiscard]] std::size_t nearest_active_station(geo::Point p) const;
 

@@ -85,18 +85,20 @@ FlSolution recost(const FlInstance& instance, FlSolution sol) {
   sol.open.erase(std::unique(sol.open.begin(), sol.open.end()), sol.open.end());
   sol.connection_cost = 0.0;
   sol.opening_cost = 0.0;
+  // Range-check the open set first: every assigned facility must be open,
+  // so each connection_cost(f, j) below reads an in-range row.
+  for (std::size_t f : sol.open) {
+    if (f >= instance.facilities.size()) {
+      throw std::invalid_argument("recost: facility index out of range");
+    }
+    sol.opening_cost += instance.facilities[f].opening_cost;
+  }
   for (std::size_t j = 0; j < sol.assignment.size(); ++j) {
     const std::size_t f = sol.assignment[j];
     if (!std::binary_search(sol.open.begin(), sol.open.end(), f)) {
       throw std::invalid_argument("recost: client assigned to closed facility");
     }
     sol.connection_cost += instance.connection_cost(f, j);
-  }
-  for (std::size_t f : sol.open) {
-    if (f >= instance.facilities.size()) {
-      throw std::invalid_argument("recost: facility index out of range");
-    }
-    sol.opening_cost += instance.facilities[f].opening_cost;
   }
   return sol;
 }

@@ -39,7 +39,7 @@ struct Ks2dResult {
 
 /// Fasano–Franceschini statistic: origins at the data points only, averaged
 /// over the two samples. O(n*m + n^2 + m^2). Close to Peacock's D in
-/// practice (tested against it in tests/stats_test.cpp).
+/// practice (tested against it in tests/test_stats_ks2d.cpp).
 /// \throws std::invalid_argument if either sample is empty.
 [[nodiscard]] double fasano_franceschini_statistic(
     const std::vector<geo::Point>& a, const std::vector<geo::Point>& b);

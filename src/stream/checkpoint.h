@@ -12,7 +12,7 @@
 /// been drained and consumed first, so the checkpoint is a pure function of
 /// the consumed event prefix. Restoring and then feeding the remaining
 /// suffix therefore reproduces the uninterrupted run bit for bit (the
-/// property tests/stream_checkpoint_test.cpp locks in).
+/// property tests/test_stream_checkpoint.cpp locks in).
 ///
 /// Layout (little-endian, see data/wire.h):
 ///   magic "ESTRCKP1" | version | bus fingerprint (shard_count,

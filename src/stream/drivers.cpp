@@ -127,12 +127,6 @@ OnlinePlacerDriver::OnlinePlacerDriver(core::ESharing& system,
   }
 }
 
-std::optional<solver::OnlineDecision> OnlinePlacerDriver::consume(
-    const Event& e) {
-  ingest_shard(bus_->shard_of(e.where), &e, 1);
-  return decide(e);
-}
-
 void OnlinePlacerDriver::ingest_shard(std::size_t shard, const Event* events,
                                       std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -252,8 +246,7 @@ void OnlinePlacerDriver::run_reanchor() {
 
   // Per-cell expected arrivals: a batch forecast of the next hour when the
   // accumulator holds enough completed hours, else the raw window counts.
-  std::vector<double> weights;
-  weights.reserve(snap.cells.size());
+  std::vector<data::DemandSite> sites;
   bool used_forecast = false;
   if (config_.forecast_history_hours > 0 && !forecast_hours_.empty()) {
     // Completed hours are strictly before the snapshot clock's bucket; the
@@ -287,40 +280,19 @@ void OnlinePlacerDriver::run_reanchor() {
       ml::batch::BatchRnn model(config_.forecast_rnn);
       model.fit(series);
       const auto forecasts = model.forecast(series, 1);
+      // Cell centroids as candidate locations — a bit-deterministic
+      // function of the merged snapshot; predicted-idle cells drop out.
       for (std::size_t i = 0; i < snap.cells.size(); ++i) {
-        weights.push_back(std::max(0.0, forecasts[i][0]));
+        const double weight = std::max(0.0, forecasts[i][0]);
+        if (weight <= 0.0) continue;
+        sites.push_back({snap.cells[i].centroid(cell), weight});
       }
-      used_forecast = true;
+      // A degenerate forecast (everything predicted idle) falls back to the
+      // raw counts rather than anchoring on an empty instance.
+      used_forecast = sites.size() >= config_.reanchor_min_cells;
     }
   }
-  if (!used_forecast) {
-    for (const auto& c : snap.cells) {
-      weights.push_back(static_cast<double>(c.count));
-    }
-  }
-
-  std::vector<data::DemandSite> sites;
-  sites.reserve(snap.cells.size());
-  for (std::size_t i = 0; i < snap.cells.size(); ++i) {
-    // Cell centroid as the candidate location — a bit-deterministic
-    // function of the merged snapshot. Forecast weights drop predicted-idle
-    // cells; the raw-count path keeps every cell, exactly as before.
-    if (used_forecast && weights[i] <= 0.0) continue;
-    sites.push_back({{(static_cast<double>(snap.cells[i].cx) + 0.5) * cell,
-                      (static_cast<double>(snap.cells[i].cy) + 0.5) * cell},
-                     weights[i]});
-  }
-  if (used_forecast && sites.size() < config_.reanchor_min_cells) {
-    // Degenerate forecast (everything predicted idle): fall back to the
-    // raw counts rather than anchoring on an empty instance.
-    sites.clear();
-    for (const auto& c : snap.cells) {
-      sites.push_back({{(static_cast<double>(c.cx) + 0.5) * cell,
-                        (static_cast<double>(c.cy) + 0.5) * cell},
-                       static_cast<double>(c.count)});
-    }
-    used_forecast = false;
-  }
+  if (!used_forecast) sites = snap.demand_sites(cell);
   system_->reanchor(sites);
   ++reanchors_;
   if (used_forecast) ++forecast_refreshes_;
@@ -328,13 +300,6 @@ void OnlinePlacerDriver::run_reanchor() {
     DriverObsMetrics::get().reanchors.add();
     if (used_forecast) DriverObsMetrics::get().forecast_refreshes.add();
   }
-}
-
-std::size_t OnlinePlacerDriver::pump(EventBus& bus) {
-  std::vector<Event> batch;
-  bus.drain_all_ordered(batch);
-  for (const Event& e : batch) consume(e);
-  return batch.size();
 }
 
 void OnlinePlacerDriver::run_regime_check(std::size_t shard) {

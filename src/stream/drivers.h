@@ -113,31 +113,24 @@ class OnlinePlacerDriver {
                      std::vector<geo::Point> historical_sample,
                      PlacerDriverConfig config);
 
-  /// Consume one drained event (events must arrive in ascending seq order;
-  /// use EventBus::drain_all_ordered or a per-shard merge). Trip ends drive
-  /// the placer; battery telemetry updates the shard watchlist.
-  /// \returns the placer decision for trip-end events.
-  std::optional<solver::OnlineDecision> consume(const Event& e);
-
-  /// Consume a merged, seq-ordered batch. The shard-local stage (window
-  /// ingestion, watchlist, per-shard KS regime checks) fans out across the
-  /// exec pool with up to `lanes` lanes (0 = pool width, 1 = inline); the
-  /// tier-one decision stage then runs sequentially in seq order. The
-  /// split is legal because the shard stage touches only that shard's
-  /// state and depends only on that shard's FIFO subsequence — so the
-  /// result is bit-identical to consuming the same events one at a time
-  /// via consume(), at every lane count and shard count. When re-anchoring
-  /// is enabled the batch is cut at each trigger trip-end, so the merged
-  /// snapshot a re-anchor reads never includes events past its trigger.
+  /// Consume a merged batch (events must arrive in ascending seq order, as
+  /// Pipeline's merge stage delivers them). Trip ends drive the placer;
+  /// battery telemetry updates the shard watchlist. The shard-local stage
+  /// (window ingestion, watchlist, per-shard KS regime checks) fans out
+  /// across the exec pool with up to `lanes` lanes (0 = pool width,
+  /// 1 = inline); the tier-one decision stage then runs sequentially in
+  /// seq order. The split is legal because the shard stage touches only
+  /// that shard's state and depends only on that shard's FIFO
+  /// subsequence — so the result is bit-identical to consuming the same
+  /// events as one-event spans, at every lane count, shard count and batch
+  /// cut. When re-anchoring is enabled the batch is cut at each trigger
+  /// trip-end, so the merged snapshot a re-anchor reads never includes
+  /// events past its trigger.
   /// Trip-end decisions are appended to `decisions_out` when non-null.
   /// \returns the number of events consumed (always events.size()).
   std::size_t consume_batch(
       std::span<const Event> events, std::size_t lanes = 1,
       std::vector<solver::OnlineDecision>* decisions_out = nullptr);
-
-  /// Drain every pending event from the bus in publish order and consume
-  /// it. Returns the number of events processed.
-  std::size_t pump(EventBus& bus);
 
   [[nodiscard]] const core::ESharing& system() const { return *system_; }
   [[nodiscard]] const StreamState& shard_state(std::size_t shard) const;
@@ -162,7 +155,7 @@ class OnlinePlacerDriver {
   void restore_from(std::istream& is);
 
  private:
-  /// Shard-local half of consume(): fold one shard's FIFO subsequence into
+  /// Shard-local half of consume_batch(): fold one shard's FIFO subsequence into
   /// its StreamState and regime counters, firing cadenced KS checks. Safe
   /// to run concurrently for distinct shards — it reads and writes only
   /// states_[shard] / regimes_[shard] / shard_history_[shard].

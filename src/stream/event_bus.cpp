@@ -223,19 +223,6 @@ std::size_t EventBus::drain(std::size_t shard_index, std::vector<Event>& out) {
   return n;
 }
 
-std::size_t EventBus::drain_all_ordered(std::vector<Event>& out) {
-  const std::size_t before = out.size();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    while (drain(s, out) > 0) {
-    }
-  }
-  // Per-shard batches are FIFO; a stable merge by seq restores the global
-  // publish order across shards.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end(),
-            BySeq{});
-  return out.size() - before;
-}
-
 std::size_t EventBus::pending(std::size_t shard) const {
   if (shard >= shards_.size()) {
     throw std::out_of_range("EventBus::pending: shard " +

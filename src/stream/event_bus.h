@@ -18,8 +18,9 @@
 ///
 /// Every publish is stamped with a bus-wide monotonic sequence number.
 /// Per-shard FIFO plus the seq stamp lets a consumer merge any number of
-/// shards back into the exact publish order (see replay.h), which is the
-/// mechanism behind the multi-shard == single-shard determinism guarantee.
+/// shards back into the exact publish order (Pipeline's merge stage, see
+/// pipeline.h), which is the mechanism behind the multi-shard ==
+/// single-shard determinism guarantee.
 /// Drops/rejections/blocks are observable through `obs` counters
 /// (`stream.event_bus.*`).
 
@@ -106,10 +107,6 @@ class EventBus {
   /// intended for one consumer per shard.
   /// \throws std::out_of_range on a bad shard index.
   std::size_t drain(std::size_t shard, std::vector<Event>& out);
-
-  /// Drain every shard completely and merge by seq into publish order.
-  /// Single-consumer convenience for the deterministic pipeline.
-  std::size_t drain_all_ordered(std::vector<Event>& out);
 
   /// The seq the next publish will be stamped with.
   [[nodiscard]] std::uint64_t next_seq() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "exec/thread_pool.h"
 #include "obs/registry.h"
@@ -44,7 +43,7 @@ void PipelineConfig::validate() const {
   placer.validate();
   incentive.validate();
   // lanes: every value is legal (0 = pool width, 1 = inline) and all are
-  // bit-identical; pump_every is clamped to the queue capacity at use.
+  // bit-identical.
 }
 
 Pipeline::Pipeline(core::ESharing& system,
@@ -52,44 +51,10 @@ Pipeline::Pipeline(core::ESharing& system,
                    PipelineConfig config)
     : config_(validated(std::move(config))),
       bus_(config_.bus),
-      system_(&system) {
-  placer_.emplace(system, bus_, std::move(historical_sample), config_.placer);
-  incentive_.emplace(config_.incentive);
-  lane_buffers_.resize(bus_.shard_count());
-}
-
-Pipeline::Pipeline(PipelineConfig config)
-    : config_(validated(std::move(config))), bus_(config_.bus) {
-  lane_buffers_.resize(bus_.shard_count());
-}
-
-void Pipeline::require_serving(const char* what) const {
-  if (!placer_.has_value()) {
-    throw std::logic_error(std::string("Pipeline::") + what +
-                           ": transport-only pipeline — construct with a "
-                           "core::ESharing system for the serving tier");
-  }
-}
-
-OnlinePlacerDriver& Pipeline::placer_driver() {
-  require_serving("placer_driver");
-  return *placer_;
-}
-
-const OnlinePlacerDriver& Pipeline::placer_driver() const {
-  require_serving("placer_driver");
-  return *placer_;
-}
-
-IncentiveDriver& Pipeline::incentive_driver() {
-  require_serving("incentive_driver");
-  return *incentive_;
-}
-
-const IncentiveDriver& Pipeline::incentive_driver() const {
-  require_serving("incentive_driver");
-  return *incentive_;
-}
+      system_(&system),
+      placer_(system, bus_, std::move(historical_sample), config_.placer),
+      incentive_(config_.incentive),
+      lane_buffers_(bus_.shard_count()) {}
 
 std::size_t Pipeline::drain_round() {
   merged_.clear();
@@ -180,22 +145,20 @@ std::size_t Pipeline::drain_round() {
 }
 
 std::size_t Pipeline::pump(std::vector<solver::OnlineDecision>* decisions_out) {
-  require_serving("pump");
   std::size_t consumed = 0;
   while (drain_round() > 0) {
-    placer_->consume_batch(merged_, config_.lanes, decisions_out);
+    placer_.consume_batch(merged_, config_.lanes, decisions_out);
     consumed += merged_.size();
   }
   return consumed;
 }
 
 std::size_t Pipeline::pump_decisions(const DecisionCallback& on_decision) {
-  require_serving("pump_decisions");
   std::size_t consumed = 0;
   std::vector<solver::OnlineDecision> decisions;
   while (drain_round() > 0) {
     decisions.clear();
-    placer_->consume_batch(merged_, config_.lanes, &decisions);
+    placer_.consume_batch(merged_, config_.lanes, &decisions);
     std::size_t next = 0;
     for (const Event& e : merged_) {
       if (e.kind != EventKind::kTripEnd) continue;
@@ -216,15 +179,11 @@ std::size_t Pipeline::pump_into(const Consumer& consumer) {
 }
 
 ReplayResult Pipeline::replay(const std::vector<Event>& events) {
-  require_serving("replay");
   const std::size_t capacity = config_.bus.queue_capacity;
-  const std::size_t cadence =
-      std::min(config_.pump_every == 0 ? capacity : config_.pump_every,
-               capacity);
   ReplayResult result;
   std::size_t i = 0;
   while (i < events.size()) {
-    const std::size_t n = std::min(cadence, events.size() - i);
+    const std::size_t n = std::min(capacity, events.size() - i);
     const std::size_t accepted =
         publish_batch(std::span<const Event>(events).subspan(i, n));
     result.published += accepted;
@@ -249,14 +208,12 @@ PipelineStats Pipeline::stats() const {
 }
 
 void Pipeline::save_checkpoint(std::ostream& os) const {
-  require_serving("save_checkpoint");
-  stream::save_checkpoint(os, bus_, *placer_, *incentive_);
+  stream::save_checkpoint(os, bus_, placer_, incentive_);
 }
 
 CheckpointInfo Pipeline::restore_checkpoint(std::istream& is) {
-  require_serving("restore_checkpoint");
   const CheckpointInfo info =
-      stream::restore_checkpoint(is, bus_, *system_, *placer_, *incentive_);
+      stream::restore_checkpoint(is, bus_, *system_, placer_, incentive_);
   // The bus seq counter fast-forwarded past the consumed prefix; resync
   // the stall detector so the first post-restore batch is not a gap.
   next_expected_seq_ = bus_.next_seq();
@@ -264,14 +221,12 @@ CheckpointInfo Pipeline::restore_checkpoint(std::istream& is) {
 }
 
 void Pipeline::save_checkpoint_file(const std::string& path) const {
-  require_serving("save_checkpoint_file");
-  stream::save_checkpoint_file(path, bus_, *placer_, *incentive_);
+  stream::save_checkpoint_file(path, bus_, placer_, incentive_);
 }
 
 CheckpointInfo Pipeline::restore_checkpoint_file(const std::string& path) {
-  require_serving("restore_checkpoint_file");
   const CheckpointInfo info = stream::restore_checkpoint_file(
-      path, bus_, *system_, *placer_, *incentive_);
+      path, bus_, *system_, placer_, incentive_);
   next_expected_seq_ = bus_.next_seq();
   return info;
 }

@@ -5,9 +5,8 @@
 /// facade object, instead of hand-wiring EventBus + OnlinePlacerDriver +
 /// IncentiveDriver + checkpoint plumbing at every call site.
 ///
-/// A Pipeline owns the sharded bus and (in serving mode) the two tier
-/// drivers. Its pump cycle is the parallel-ingestion engine of the stream
-/// layer:
+/// A Pipeline owns the sharded bus and the two tier drivers. Its pump
+/// cycle is the only way events leave the bus:
 ///
 ///   1. Lane stage — every shard is drained on the exec pool, up to
 ///      `lanes` shards concurrently (`lanes = 0` uses the pool width).
@@ -26,30 +25,22 @@
 /// single-threaded replay at every (shard count, lane count, thread count)
 /// combination — the merge restores publish order, and the only parallel
 /// work is shard-local (see drivers.h) or chunk-deterministic (see
-/// exec/thread_pool.h). DESIGN.md "Parallel ingestion" carries the full
-/// argument.
-///
-/// Two modes:
-///   * serving   — constructed with a core::ESharing system and a KS
-///     reference sample; pump() feeds the placer and the facade exposes
-///     both drivers plus checkpoint save/restore.
-///   * transport — constructed from the config alone; pump_into() hands
-///     merged events to a caller-supplied consumer (Simulation uses this
-///     to keep its own process_trip path).
+/// exec/thread_pool.h). Replaying any log through a one-shard pipeline is
+/// the reference execution that multi-shard runs are regression-tested
+/// against. DESIGN.md "Parallel ingestion" carries the full argument.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "solver/meyerson.h"
 #include "stream/checkpoint.h"
 #include "stream/drivers.h"
 #include "stream/event_bus.h"
-#include "stream/replay.h"
 
 namespace esharing::stream {
 
@@ -63,14 +54,19 @@ struct PipelineConfig {
   /// 1 = sequential (the single-threaded reference execution), n = up to
   /// n concurrent lanes. Any value is bit-identical to any other.
   std::size_t lanes{0};
-  /// replay() cadence: max publishes between pumps. 0 selects the bus
-  /// queue capacity; values above the capacity are clamped to it so a
-  /// kBlock bus can never deadlock a single-threaded replay.
-  std::size_t pump_every{0};
 
   /// Validate every nested config plus the facade knobs.
   /// \throws std::invalid_argument on the first violated constraint.
   void validate() const;
+};
+
+/// Outcome of a replay: the tier-one decision trace, one entry per
+/// trip-end event, in seq order.
+struct ReplayResult {
+  std::size_t published{0};
+  std::size_t consumed{0};
+  std::size_t rejected{0};  ///< kReject publishes that were shed
+  std::vector<solver::OnlineDecision> decisions;
 };
 
 /// Counters snapshot of the pump cycle (authoritative copies land in the
@@ -87,7 +83,7 @@ struct PipelineStats {
 
 class Pipeline {
  public:
-  /// Serving mode: the facade owns both tier drivers against `system`.
+  /// The facade owns both tier drivers against `system`.
   /// \param historical_sample KS reference H(x, y), partitioned per shard
   ///        by the bus router (see OnlinePlacerDriver).
   /// \throws std::invalid_argument on invalid config,
@@ -95,21 +91,18 @@ class Pipeline {
   Pipeline(core::ESharing& system, std::vector<geo::Point> historical_sample,
            PipelineConfig config);
 
-  /// Transport mode: bus + lane/merge stages only; serving accessors,
-  /// replay() and checkpoints throw std::logic_error. The placer and
-  /// incentive sub-configs are still validated (one config, one contract).
-  explicit Pipeline(PipelineConfig config);
-
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
   [[nodiscard]] EventBus& bus() { return bus_; }
   [[nodiscard]] const EventBus& bus() const { return bus_; }
-  [[nodiscard]] bool serving() const { return placer_.has_value(); }
 
-  /// \throws std::logic_error in transport mode.
-  [[nodiscard]] OnlinePlacerDriver& placer_driver();
-  [[nodiscard]] const OnlinePlacerDriver& placer_driver() const;
-  [[nodiscard]] IncentiveDriver& incentive_driver();
-  [[nodiscard]] const IncentiveDriver& incentive_driver() const;
+  [[nodiscard]] OnlinePlacerDriver& placer_driver() { return placer_; }
+  [[nodiscard]] const OnlinePlacerDriver& placer_driver() const {
+    return placer_;
+  }
+  [[nodiscard]] IncentiveDriver& incentive_driver() { return incentive_; }
+  [[nodiscard]] const IncentiveDriver& incentive_driver() const {
+    return incentive_;
+  }
 
   /// Publish into the bus (see EventBus::publish/publish_batch).
   bool publish(Event e) { return bus_.publish(e); }
@@ -119,21 +112,20 @@ class Pipeline {
 
   using Consumer = std::function<void(const Event&)>;
 
-  /// Serving pump: repeat the lane/merge/consume cycle until a round
-  /// drains nothing. Trip-end decisions are appended to `decisions_out`
-  /// when non-null. Returns the number of events consumed.
-  /// \throws std::logic_error in transport mode.
+  /// Repeat the lane/merge/consume cycle until a round drains nothing.
+  /// Trip-end decisions are appended to `decisions_out` when non-null.
+  /// Returns the number of events consumed.
   std::size_t pump(std::vector<solver::OnlineDecision>* decisions_out = nullptr);
 
-  /// Transport pump: same lane/merge cycle, but each merged event goes to
-  /// `consumer` (called sequentially, in seq order). Also usable in
-  /// serving mode for callers that bypass the drivers deliberately.
+  /// Same lane/merge cycle, but each merged event goes to `consumer`
+  /// (called sequentially, in seq order) instead of the drivers — for
+  /// callers that time or feed the consume stage themselves.
   std::size_t pump_into(const Consumer& consumer);
 
   using DecisionCallback =
       std::function<void(const Event&, const solver::OnlineDecision&)>;
 
-  /// Serving pump that hands back (event, decision) pairs: identical to
+  /// Pump that hands back (event, decision) pairs: identical to
   /// pump() — same drain/merge/consume_batch calls, same decision trace —
   /// but after each round the trip-end events of the merged batch are
   /// zipped with the decisions they produced (consume_batch appends exactly
@@ -141,20 +133,19 @@ class Pipeline {
   /// for each pair sequentially. This is the serving daemon's decide path:
   /// the event carries the caller's `ref` token, so responses can be routed
   /// back to the requesting connection. Returns the events consumed.
-  /// \throws std::logic_error in transport mode.
   std::size_t pump_decisions(const DecisionCallback& on_decision);
 
-  /// Publish `events` in order (batched at the pump_every cadence) and
-  /// pump between batches; a final pump flushes the tail. Semantically
-  /// replay_log() over the facade's own components — same decision trace.
-  /// \throws std::logic_error in transport mode.
+  /// Publish `events` in order, in batches of at most the bus queue
+  /// capacity, and pump after each batch — so a kBlock bus is always
+  /// drained before any shard can fill, even if a whole batch routes to
+  /// one shard. The decision trace depends only on the log, never on the
+  /// shard count, the queue capacity or the lane count.
   ReplayResult replay(const std::vector<Event>& events);
 
   [[nodiscard]] PipelineStats stats() const;
 
-  /// Checkpoint passthrough (serving mode; see checkpoint.h for the
-  /// format and the queues-drained contract).
-  /// \throws std::logic_error in transport mode.
+  /// Checkpoint passthrough (see checkpoint.h for the format and the
+  /// queues-drained contract).
   void save_checkpoint(std::ostream& os) const;
   CheckpointInfo restore_checkpoint(std::istream& is);
   void save_checkpoint_file(const std::string& path) const;
@@ -164,13 +155,12 @@ class Pipeline {
   /// One lane+merge round: drain every shard (parallel lanes), merge by
   /// seq into merged_. Returns the number of events merged.
   std::size_t drain_round();
-  void require_serving(const char* what) const;
 
   PipelineConfig config_;
   EventBus bus_;
-  core::ESharing* system_{nullptr};
-  std::optional<OnlinePlacerDriver> placer_;
-  std::optional<IncentiveDriver> incentive_;
+  core::ESharing* system_;
+  OnlinePlacerDriver placer_;
+  IncentiveDriver incentive_;
 
   /// Pump-cycle scratch; the pump is single-consumer by contract, so
   /// these are not locked (lanes write disjoint per-shard buffers).

@@ -135,6 +135,16 @@ std::vector<geo::Point> StateSnapshot::window_points() const {
   return pts;
 }
 
+std::vector<data::DemandSite> StateSnapshot::demand_sites(
+    double cell_m) const {
+  std::vector<data::DemandSite> sites;
+  sites.reserve(cells.size());
+  for (const auto& c : cells) {
+    sites.push_back({c.centroid(cell_m), static_cast<double>(c.count)});
+  }
+  return sites;
+}
+
 double StreamState::arrival_rate(geo::Point p, data::Seconds at) const {
   const auto it = cells_.find(cell_of(p));
   if (it == cells_.end()) return 0.0;

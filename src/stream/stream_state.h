@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "data/binning.h"
 #include "data/trip.h"
 #include "geo/point.h"
 #include "stream/event.h"
@@ -59,6 +60,12 @@ struct StateSnapshot {
     std::int64_t cy{0};
     std::uint64_t count{0};   ///< events currently inside the window
     double rate_per_s{0.0};   ///< decayed arrival-rate estimate
+
+    /// Centre of the cell at cell edge `cell_m`.
+    [[nodiscard]] geo::Point centroid(double cell_m) const {
+      return {(static_cast<double>(cx) + 0.5) * cell_m,
+              (static_cast<double>(cy) + 0.5) * cell_m};
+    }
   };
   struct WindowPoint {
     std::uint64_t seq{0};     ///< publish order; merge key across shards
@@ -73,6 +80,10 @@ struct StateSnapshot {
   [[nodiscard]] std::uint64_t window_size() const { return window.size(); }
   /// Window destinations as bare points (KS-test input), in seq order.
   [[nodiscard]] std::vector<geo::Point> window_points() const;
+  /// One demand site per cell — its centroid at cell edge `cell_m`,
+  /// weighted by its window count (`cell` left 0), in cell order. The
+  /// raw-count instance a landmark re-anchor re-solves.
+  [[nodiscard]] std::vector<data::DemandSite> demand_sites(double cell_m) const;
 };
 
 class StreamState {

@@ -175,31 +175,6 @@ TEST(SimConfigValidate, RejectsBadSimulationFields) {
   expect_rejects(c, "history_sample_cap");
 }
 
-TEST(SimConfigValidate, RejectsBadStreamKnobs) {
-  // The nested stream::PipelineConfig carries its own messages; the field
-  // names below come from EventBusConfig / PlacerDriverConfig.
-  sim::SimConfig c;
-  c.stream.bus.shard_count = 0;
-  expect_rejects(c, "shard_count");
-
-  c = {};
-  c.stream.bus.max_batch = 0;
-  expect_rejects(c, "max_batch");
-
-  c = {};
-  c.stream.bus.queue_capacity = 8;
-  c.stream.bus.max_batch = 9;
-  expect_rejects(c, "max_batch");
-
-  c = {};
-  c.stream.bus.route_cell_m = 0.0;
-  expect_rejects(c, "route_cell_m");
-
-  c = {};
-  c.stream.placer.ks_sample_budget = 2;
-  expect_rejects(c, "ks_sample_budget");
-}
-
 TEST(SimConfigValidate, NestedESharingConfigIsChecked) {
   sim::SimConfig c;
   c.esharing.incentive.alpha = 2.0;

