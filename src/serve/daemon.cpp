@@ -387,15 +387,8 @@ void ServeDaemon::handle_decide(const std::shared_ptr<Connection>& conn,
   event.ref = token;
   event.seq = 0;
   publish_gate_enter();
-  const bool accepted = pipeline_.publish(event);
+  pipeline_.publish(event);
   publish_gate_exit();
-  if (!accepted) {
-    {
-      const es::LockGuard lock(pending_mu_);
-      pending_.erase(token);
-    }
-    conn->send(encode_error("bus rejected event (overload policy)"));
-  }
 }
 
 // --- pump thread -----------------------------------------------------------
@@ -519,8 +512,9 @@ void ServeDaemon::pump_loop() {
     std::this_thread::sleep_for(
         std::chrono::microseconds(t.pump_idle_micros));
   }
-  // Any survivors here rode an event the bus dropped (overload policy):
-  // answer them so no client hangs forever.
+  // The bus is lossless and the confirming pump found it dry, so every
+  // published decide has been answered. The sweep stays as a guard: any
+  // straggler still pending gets an error so no client hangs forever.
   std::map<std::int64_t, PendingDecide> leftovers;
   {
     const es::LockGuard lock(pending_mu_);

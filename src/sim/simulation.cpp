@@ -17,14 +17,12 @@ namespace {
 struct SimObsMetrics {
   obs::Counter& trips;
   obs::Counter& charging_rounds;
-  obs::Counter& reanchors;
   obs::Histogram& charging_round_cost;
 
   static SimObsMetrics& get() {
     static SimObsMetrics m{
         obs::Registry::global().counter("sim.simulation.trips"),
         obs::Registry::global().counter("sim.simulation.charging_rounds"),
-        obs::Registry::global().counter("sim.simulation.reanchors"),
         obs::Registry::global().histogram(
             "sim.simulation.charging_round_cost",
             {1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6}),
@@ -84,19 +82,6 @@ void SimConfig::validate() const {
   if (history_sample_cap == 0) {
     fail("history_sample_cap", 0.0,
          "the KS reference needs at least one historical destination");
-  }
-  if (reanchor_period < 0) {
-    fail("reanchor_period", static_cast<double>(reanchor_period),
-         "the landmark re-anchor cadence is a duration in seconds; use 0 "
-         "to disable re-anchoring");
-  }
-  if (reanchor_period > 0) {
-    reanchor_state.validate();
-    if (reanchor_min_cells == 0) {
-      fail("reanchor_min_cells", 0.0,
-           "a re-anchor needs at least one demand cell to build an "
-           "instance from (set reanchor_period = 0 to disable instead)");
-    }
   }
 }
 
@@ -185,10 +170,6 @@ void Simulation::bootstrap(const std::vector<TripRecord>& history) {
 
   open_incentive_session();
   next_round_at_ = hi + 1 + config_.charging_period;
-  if (config_.reanchor_period > 0) {
-    demand_state_.emplace(config_.reanchor_state);
-    next_reanchor_at_ = hi + 1 + config_.reanchor_period;
-  }
   bootstrapped_ = true;
 }
 
@@ -240,36 +221,13 @@ void Simulation::close_charging_period(SimMetrics& metrics) {
   open_incentive_session();
 }
 
-void Simulation::maybe_reanchor(Seconds as_of) {
-  const auto snap = demand_state_->snapshot(as_of);
-  if (snap.cells.size() < config_.reanchor_min_cells) return;
-  system_.reanchor(snap.demand_sites(config_.reanchor_state.cell_m));
-  // A re-anchor can establish stations; keep the inventory vector parallel.
-  station_bikes_.resize(system_.placer().stations().size(), 0);
-  ++reanchors_;
-  if (obs::enabled()) SimObsMetrics::get().reanchors.add();
-}
-
 void Simulation::process_trip(const TripRecord& trip, SimMetrics& metrics) {
   while (trip.start_time >= next_round_at_) {
     close_charging_period(metrics);
     next_round_at_ += config_.charging_period;
   }
-  if (config_.reanchor_period > 0) {
-    while (trip.start_time >= next_reanchor_at_) {
-      maybe_reanchor(next_reanchor_at_);
-      next_reanchor_at_ += config_.reanchor_period;
-    }
-  }
 
   const Point dest = city_.end_point(trip);
-  if (demand_state_.has_value()) {
-    stream::Event demand;
-    demand.kind = stream::EventKind::kTripEnd;
-    demand.time = trip.start_time;
-    demand.where = dest;
-    demand_state_->ingest(demand);
-  }
   const auto decision = system_.handle_request(dest);
   const Point assigned =
       system_.placer().stations()[decision.facility].location;
@@ -345,7 +303,6 @@ SimMetrics Simulation::run(const std::vector<TripRecord>& live) {
   metrics.stations_final = system_.placer().num_active();
   metrics.stations_online_opened = system_.placer().num_online_opened();
   metrics.stations_removed = stations_removed_;
-  metrics.reanchors = reanchors_;
   return metrics;
 }
 

@@ -20,7 +20,6 @@
 #include "geo/point.h"
 #include "geo/spatial_index.h"
 #include "stats/rng.h"
-#include "stream/stream_state.h"
 
 namespace esharing::sim {
 
@@ -39,16 +38,6 @@ struct SimConfig {
   /// up, the station is removed from P (the online algorithm may establish
   /// one there again later based on demand).
   bool remove_empty_stations{true};
-  /// Landmark re-anchor cadence (incremental re-optimization engine):
-  /// every this many seconds of sim time, the recent demand window is
-  /// snapshotted into demand sites and ESharing::reanchor warm re-solves
-  /// the offline plan, re-anchoring the online placer's landmarks
-  /// (0 disables). Runs in the per-trip path, in trip order.
-  data::Seconds reanchor_period{0};
-  /// Sliding demand window feeding scheduled re-anchors.
-  stream::StreamStateConfig reanchor_state;
-  /// Skip a scheduled re-anchor while the window has fewer demand cells.
-  std::size_t reanchor_min_cells{2};
 
   /// Fail fast on inconsistent parameters (including the nested
   /// ESharingConfig). Called by the Simulation constructor.
@@ -62,7 +51,6 @@ struct SimMetrics {
   std::size_t stations_final{0};
   std::size_t stations_online_opened{0};
   std::size_t stations_removed{0};  ///< footnote-2 removals (emptied)
-  std::size_t reanchors{0};         ///< landmark re-anchors executed
   double incentives_paid{0.0};
   std::size_t offers_made{0};
   std::size_t relocations{0};
@@ -102,10 +90,6 @@ class Simulation {
  private:
   void open_incentive_session();
   void close_charging_period(SimMetrics& metrics);
-  /// Scheduled landmark re-anchor at period boundary `as_of`: snapshot the
-  /// demand window, warm re-solve, re-anchor the placer (skipped while the
-  /// window holds fewer than reanchor_min_cells cells).
-  void maybe_reanchor(data::Seconds as_of);
   /// The per-trip logic of run(): charging-period rollover, tier-one
   /// request, footnote-2 removal, tier-two offer, bike movement and metric
   /// accrual.
@@ -128,11 +112,6 @@ class Simulation {
   geo::SpatialIndex session_index_;
   std::optional<core::IncentiveMechanism> session_;
   data::Seconds next_round_at_{0};
-  /// Demand window behind scheduled re-anchors (engaged when
-  /// reanchor_period > 0).
-  std::optional<stream::StreamState> demand_state_;
-  data::Seconds next_reanchor_at_{0};
-  std::size_t reanchors_{0};
   bool bootstrapped_{false};
 };
 

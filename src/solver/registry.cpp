@@ -1,7 +1,7 @@
 #include "solver/registry.h"
 
+#include <array>
 #include <stdexcept>
-#include <utility>
 
 #include "geo/spatial_index.h"
 #include "obs/registry.h"
@@ -62,6 +62,37 @@ FlSolution solve_k_median(const FlInstance& instance,
   return k_median(instance, options.k, options.seed);
 }
 
+FlSolution solve_jms(const FlInstance& instance, const SolveOptions& options) {
+  if (options.warm_start != nullptr) {
+    const CostOracle oracle(instance);
+    return jms_greedy_warm(oracle, options.warm_start->open,
+                           JmsOptions{options.num_threads});
+  }
+  return jms_greedy(instance, JmsOptions{options.num_threads});
+}
+
+FlSolution solve_jv(const FlInstance& instance, const SolveOptions&) {
+  return jv_primal_dual(instance);
+}
+
+FlSolution solve_local_search(const FlInstance& instance,
+                              const SolveOptions& options) {
+  LocalSearchOptions ls;
+  ls.max_iterations = options.max_iterations;
+  ls.min_improvement = options.min_improvement;
+  ls.allow_swaps = options.allow_swaps;
+  ls.num_threads = options.num_threads;
+  if (options.warm_start != nullptr) {
+    return local_search(instance, *options.warm_start, ls);
+  }
+  return local_search_from_scratch(instance, ls);
+}
+
+FlSolution solve_exact(const FlInstance& instance,
+                       const SolveOptions& options) {
+  return exact_facility_location(instance, options.exact_max_facilities);
+}
+
 /// Which SolveOptions fields each built-in consumes (see
 /// SolveOptions::validate). A field marked false with a non-default value
 /// is a contradiction, not a preference — reject it loudly.
@@ -74,25 +105,37 @@ struct ConsumedFields {
   bool warm_start{false};
 };
 
-const std::map<std::string_view, ConsumedFields, std::less<>>& builtin_fields() {
-  static const std::map<std::string_view, ConsumedFields, std::less<>> m = {
-      {"jms", {.num_threads = true, .warm_start = true}},
-      {"jv", {}},
-      {"local_search",
-       {.num_threads = true, .local_search_knobs = true, .warm_start = true}},
-      {"k_median", {.k = true, .seed = true}},
-      {"meyerson", {.seed = true}},
-      {"exact", {.exact_max_facilities = true}},
-  };
-  return m;
+struct Builtin {
+  std::string_view name;
+  ConsumedFields fields;
+  FlSolution (*fn)(const FlInstance&, const SolveOptions&);
+};
+
+/// The built-in solvers, sorted by name.
+constexpr std::array<Builtin, 6> kBuiltins{{
+    {"exact", {.exact_max_facilities = true}, solve_exact},
+    {"jms", {.num_threads = true, .warm_start = true}, solve_jms},
+    {"jv", {}, solve_jv},
+    {"k_median", {.k = true, .seed = true}, solve_k_median},
+    {"local_search",
+     {.num_threads = true, .local_search_knobs = true, .warm_start = true},
+     solve_local_search},
+    {"meyerson", {.seed = true}, solve_meyerson},
+}};
+
+const Builtin* find_builtin(std::string_view name) {
+  for (const Builtin& b : kBuiltins) {
+    if (b.name == name) return &b;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 void SolveOptions::validate(std::string_view name) const {
-  const auto it = builtin_fields().find(name);
-  if (it == builtin_fields().end()) return;  // custom solver: own contract
-  const ConsumedFields& c = it->second;
+  const Builtin* builtin = find_builtin(name);
+  if (builtin == nullptr) return;  // solve() rejects unknown names
+  const ConsumedFields& c = builtin->fields;
   const SolveOptions defaults;
   const auto reject = [&](const char* field, const std::string& why) {
     throw std::invalid_argument("solve(\"" + std::string(name) +
@@ -129,91 +172,17 @@ void SolveOptions::validate(std::string_view name) const {
   }
 }
 
-SolverRegistry::SolverRegistry() {
-  solvers_.emplace("jms",
-                   [](const FlInstance& inst, const SolveOptions& opt) {
-                     if (opt.warm_start != nullptr) {
-                       const CostOracle oracle(inst);
-                       return jms_greedy_warm(oracle, opt.warm_start->open,
-                                              JmsOptions{opt.num_threads});
-                     }
-                     return jms_greedy(inst, JmsOptions{opt.num_threads});
-                   });
-  solvers_.emplace("jv", [](const FlInstance& inst, const SolveOptions&) {
-    return jv_primal_dual(inst);
-  });
-  solvers_.emplace("local_search",
-                   [](const FlInstance& inst, const SolveOptions& opt) {
-                     LocalSearchOptions ls;
-                     ls.max_iterations = opt.max_iterations;
-                     ls.min_improvement = opt.min_improvement;
-                     ls.allow_swaps = opt.allow_swaps;
-                     ls.num_threads = opt.num_threads;
-                     if (opt.warm_start != nullptr) {
-                       return local_search(inst, *opt.warm_start, ls);
-                     }
-                     return local_search_from_scratch(inst, ls);
-                   });
-  solvers_.emplace("k_median", solve_k_median);
-  solvers_.emplace("meyerson", solve_meyerson);
-  solvers_.emplace("exact",
-                   [](const FlInstance& inst, const SolveOptions& opt) {
-                     return exact_facility_location(inst,
-                                                    opt.exact_max_facilities);
-                   });
-}
-
-SolverRegistry& SolverRegistry::global() {
-  static SolverRegistry instance;
-  return instance;
-}
-
-void SolverRegistry::register_solver(std::string name, SolverFn fn) {
-  if (name.empty()) {
-    throw std::invalid_argument("SolverRegistry: empty solver name");
-  }
-  if (!fn) {
-    throw std::invalid_argument("SolverRegistry: null solver fn for '" +
-                                name + "'");
-  }
-  const es::LockGuard lock(mu_);
-  if (!solvers_.emplace(std::move(name), std::move(fn)).second) {
-    throw std::invalid_argument(
-        "SolverRegistry: solver already registered under that name");
-  }
-}
-
-bool SolverRegistry::contains(std::string_view name) const {
-  const es::LockGuard lock(mu_);
-  return solvers_.find(name) != solvers_.end();
-}
-
-std::vector<std::string> SolverRegistry::names() const {
-  const es::LockGuard lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(solvers_.size());
-  for (const auto& [name, fn] : solvers_) out.push_back(name);
-  return out;
-}
-
-FlSolution SolverRegistry::solve(std::string_view name,
-                                 const FlInstance& instance,
-                                 const SolveOptions& options) const {
-  SolverFn fn;
-  {
-    const es::LockGuard lock(mu_);
-    const auto it = solvers_.find(name);
-    if (it == solvers_.end()) {
-      std::string known;
-      for (const auto& [n, f] : solvers_) {
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      throw std::invalid_argument("SolverRegistry: unknown solver '" +
-                                  std::string(name) + "'; registered: " +
-                                  known);
+FlSolution solve(std::string_view name, const FlInstance& instance,
+                 const SolveOptions& options) {
+  const Builtin* builtin = find_builtin(name);
+  if (builtin == nullptr) {
+    std::string known;
+    for (const Builtin& b : kBuiltins) {
+      if (!known.empty()) known += ", ";
+      known += b.name;
     }
-    fn = it->second;
+    throw std::invalid_argument("solve: unknown solver '" + std::string(name) +
+                                "'; built-ins: " + known);
   }
   options.validate(name);
   if (obs::enabled()) {
@@ -221,16 +190,14 @@ FlSolution SolverRegistry::solve(std::string_view name,
         .counter("solver.registry.solves." + std::string(name))
         .add();
   }
-  return fn(instance, options);
-}
-
-FlSolution solve(std::string_view name, const FlInstance& instance,
-                 const SolveOptions& options) {
-  return SolverRegistry::global().solve(name, instance, options);
+  return builtin->fn(instance, options);
 }
 
 std::vector<std::string> solver_names() {
-  return SolverRegistry::global().names();
+  std::vector<std::string> out;
+  out.reserve(kBuiltins.size());
+  for (const Builtin& b : kBuiltins) out.emplace_back(b.name);
+  return out;
 }
 
 }  // namespace esharing::solver

@@ -4,8 +4,8 @@
 /// Unified solver entry point: one `solve(name, instance, options)` call
 /// mapping a solver name to the corresponding offline PLP algorithm. Benches
 /// and tools that compare solver families (Table V, plp_compare) iterate
-/// over names instead of hard-coding one call site per algorithm, and new
-/// solvers become comparable by registering under a name.
+/// over names instead of hard-coding one call site per algorithm. The set
+/// of names is fixed: the six built-ins below, dispatched from one table.
 ///
 /// Built-in names:
 ///   "jms"          Jain-Mahdian-... greedy (the paper's Algorithm 1)
@@ -18,18 +18,14 @@
 ///   "exact"        branch-and-bound optimum (small instances only)
 ///
 /// Every built-in returns a valid FlSolution on the given instance, and
-/// routing through the registry is bit-identical to calling the underlying
+/// routing through solve() is bit-identical to calling the underlying
 /// solver directly with the same options.
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/sync.h"
-#include "core/thread_annotations.h"
 #include "solver/facility_location.h"
 
 namespace esharing::solver {
@@ -64,50 +60,19 @@ struct SolveOptions {
   /// non-default value for a field that solver ignores (e.g. `k` for
   /// "jms"), a missing `k` for "k_median", `max_iterations = 0` for
   /// "local_search" (it could never improve), and `warm_start` for solvers
-  /// with no warm path. Unknown (user-registered) names pass — the
-  /// registry cannot know their contract.
+  /// with no warm path. Unknown names pass here; solve() rejects them.
   /// \throws std::invalid_argument naming the solver and the offending
   ///         field.
   void validate(std::string_view name) const;
 };
 
-using SolverFn =
-    std::function<FlSolution(const FlInstance&, const SolveOptions&)>;
-
-class SolverRegistry {
- public:
-  SolverRegistry(const SolverRegistry&) = delete;
-  SolverRegistry& operator=(const SolverRegistry&) = delete;
-
-  /// The process-wide registry, pre-populated with the built-ins above.
-  static SolverRegistry& global();
-
-  /// \throws std::invalid_argument on an empty name, a null fn, or a name
-  ///         already registered.
-  void register_solver(std::string name, SolverFn fn);
-
-  [[nodiscard]] bool contains(std::string_view name) const;
-  /// Registered names in sorted order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Run the named solver.
-  /// \throws std::invalid_argument for unknown names (the message lists
-  ///         what is registered) and for solver-specific option errors.
-  [[nodiscard]] FlSolution solve(std::string_view name,
-                                 const FlInstance& instance,
-                                 const SolveOptions& options = {}) const;
-
- private:
-  SolverRegistry();  ///< registers the built-ins
-
-  mutable es::Mutex mu_;
-  std::map<std::string, SolverFn, std::less<>> solvers_ ES_GUARDED_BY(mu_);
-};
-
-/// Convenience forwarding to SolverRegistry::global().
+/// Run the named built-in solver.
+/// \throws std::invalid_argument for unknown names (the message lists the
+///         built-ins) and for solver-specific option errors.
 [[nodiscard]] FlSolution solve(std::string_view name,
                                const FlInstance& instance,
                                const SolveOptions& options = {});
+/// The built-in names in sorted order.
 [[nodiscard]] std::vector<std::string> solver_names();
 
 }  // namespace esharing::solver

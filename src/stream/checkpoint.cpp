@@ -40,7 +40,7 @@ void save_checkpoint(std::ostream& os, const EventBus& bus,
   wire::write_u64(os, kCheckpointVersion);
   wire::write_u64(os, bus.shard_count());
   wire::write_f64(os, bus.config().route_cell_m);
-  wire::write_u8(os, static_cast<std::uint8_t>(bus.config().policy));
+  wire::write_u8(os, 0);  // retired backpressure-policy byte (always block)
   wire::write_u64(os, bus.config().queue_capacity);
   wire::write_u64(os, bus.next_seq());
   placer_driver.system().save_placer(os);
@@ -94,7 +94,7 @@ CheckpointInfo restore_checkpoint(std::istream& is, EventBus& bus,
         std::to_string(bus.config().route_cell_m) +
         " m — shard ownership would not line up");
   }
-  (void)wire::read_u8(is);   // policy: informative, does not affect state
+  (void)wire::read_u8(is);   // retired policy byte, always 0
   (void)wire::read_u64(is);  // queue_capacity: likewise
   bus.resume_seq(wire::read_u64(is));
   system.restore_placer(is);

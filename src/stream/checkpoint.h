@@ -15,8 +15,9 @@
 /// property tests/test_stream_checkpoint.cpp locks in).
 ///
 /// Layout (little-endian, see data/wire.h):
-///   magic "ESTRCKP1" | version | bus fingerprint (shard_count,
-///   route_cell_m, policy, queue_capacity) | placer blob | reopt-session
+///   magic "ESTRCCP1" | version | bus fingerprint (shard_count,
+///   route_cell_m, a retired policy byte written as 0, queue_capacity) |
+///   next seq | placer blob | reopt-session
 ///   blob (warm re-anchor state) | placer-driver blob (regimes + per-shard
 ///   states) | incentive-driver blob.
 /// Restore validates magic, version, shard count and routing cell against

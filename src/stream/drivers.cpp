@@ -70,14 +70,6 @@ void PlacerDriverConfig::validate() const {
         "re-anchor needs at least one demand cell to build an instance "
         "from (set reanchor_period = 0 to disable re-anchoring instead)");
   }
-  if (ks_sample_budget > 0 && ks_sample_budget < 4) {
-    throw std::invalid_argument(
-        "PlacerDriverConfig: ks_sample_budget = " +
-        std::to_string(ks_sample_budget) +
-        " is invalid: a 2-D KS statistic over fewer than 4 points per side "
-        "is meaningless (set ks_sample_budget = 0 to disable subsampling "
-        "instead)");
-  }
   if (forecast_history_hours > 0) {
     forecast_rnn.validate();
     if (forecast_history_hours < forecast_rnn.lookback + 2) {
@@ -90,19 +82,6 @@ void PlacerDriverConfig::validate() const {
           "disable forecast refreshes instead)");
     }
   }
-}
-
-std::vector<Point> ks_stratified_sample(const std::vector<Point>& points,
-                                        std::size_t budget) {
-  const std::size_t n = points.size();
-  if (budget == 0 || n <= budget) return points;
-  std::vector<Point> sample;
-  sample.reserve(budget);
-  for (std::size_t j = 0; j < budget; ++j) {
-    // Midpoint of stratum j of `budget` equal time slices.
-    sample.push_back(points[(2 * j + 1) * n / (2 * budget)]);
-  }
-  return sample;
 }
 
 OnlinePlacerDriver::OnlinePlacerDriver(core::ESharing& system,
@@ -306,24 +285,10 @@ void OnlinePlacerDriver::run_regime_check(std::size_t shard) {
   const auto& history = shard_history_[shard];
   const auto window = states_[shard].window_points();
   if (history.empty() || window.size() < config_.regime_min_samples) return;
-  // Subsample only when over budget so the common case stays copy-free.
-  const std::size_t budget = config_.ks_sample_budget;
-  const std::vector<Point>* href = &history;
-  const std::vector<Point>* wref = &window;
-  std::vector<Point> hbuf;
-  std::vector<Point> wbuf;
-  if (budget > 0 && history.size() > budget) {
-    hbuf = ks_stratified_sample(history, budget);
-    href = &hbuf;
-  }
-  if (budget > 0 && window.size() > budget) {
-    wbuf = ks_stratified_sample(window, budget);
-    wref = &wbuf;
-  }
   // Always Fasano–Franceschini (limit 0): sharding shrinks windows, and an
   // exact O((n+m)^3) Peacock check below the batch-path limit is the
   // "8-shard cliff" (EXPERIMENTS.md "Stream shard scaling").
-  const auto result = stats::ks2d_test(*href, *wref, 0);
+  const auto result = stats::ks2d_test(history, window, 0);
   ShardRegime& regime = regimes_[shard];
   regime.similarity = result.similarity;
   ++regime.checks;
@@ -449,20 +414,8 @@ void OnlinePlacerDriver::restore_from(std::istream& is) {
 
 // --- IncentiveDriver --------------------------------------------------------
 
-void IncentiveDriverConfig::validate() const {
-  if (!(assign_radius_m > 0.0)) {
-    throw std::invalid_argument(
-        "IncentiveDriverConfig: assign_radius_m = " +
-        std::to_string(assign_radius_m) +
-        " is invalid: the watchlist-to-parking assignment radius must be "
-        "positive");
-  }
-}
-
-IncentiveDriver::IncentiveDriver(IncentiveDriverConfig config)
-    : config_(config) {
-  config_.validate();
-}
+IncentiveDriver::IncentiveDriver(core::IncentiveConfig config)
+    : config_(config) {}
 
 void IncentiveDriver::fold_session_totals() {
   if (!session_.has_value()) return;
@@ -485,11 +438,10 @@ void IncentiveDriver::open_session(const std::vector<Point>& parkings,
   for (const WatchEntry& w : watchlist) {
     const std::size_t s = index.nearest(w.where);
     if (s == geo::SpatialIndex::npos) continue;
-    if (geo::distance(parkings[s], w.where) > config_.assign_radius_m) continue;
     stations[s].low_bikes.push_back(static_cast<std::size_t>(w.bike_id));
     ++assigned;
   }
-  session_.emplace(std::move(stations), config_.incentive);
+  session_.emplace(std::move(stations), config_);
   session_index_ = std::move(index);
   paid_total_ = paid_closed_;
   offers_total_ = offers_closed_;
@@ -543,7 +495,7 @@ void IncentiveDriver::restore_from(std::istream& is) {
   relocations_closed_ = wire::read_u64(is);
   const bool has_session = wire::read_u8(is) != 0;
   if (has_session) {
-    session_ = core::IncentiveMechanism::restore(is, config_.incentive);
+    session_ = core::IncentiveMechanism::restore(is, config_);
     std::vector<Point> locations;
     locations.reserve(session_->stations().size());
     for (const auto& s : session_->stations()) locations.push_back(s.location);

@@ -61,12 +61,6 @@ struct PlacerDriverConfig {
   /// Skip a scheduled re-anchor while the merged snapshot has fewer
   /// demand cells than this (too few cells make a degenerate instance).
   std::size_t reanchor_min_cells{2};
-  /// Per-side stratified sample budget for the regime check (0 = off).
-  /// When a window or reference slice exceeds the budget, the check runs
-  /// on a deterministic midpoint-stride subsample of exactly `budget`
-  /// points (see ks_stratified_sample), bounding the quadratic
-  /// Fasano–Franceschini cost per check no matter how large windows grow.
-  std::size_t ks_sample_budget{0};
   /// Hours of per-cell hourly arrival history the driver accumulates for
   /// batch forecast refreshes (0 = off, the default). When enabled, each
   /// re-anchor fits the batched runtime (ml/batch.h) over every snapshot
@@ -81,16 +75,6 @@ struct PlacerDriverConfig {
   /// \throws std::invalid_argument on the first violated constraint.
   void validate() const;
 };
-
-/// Deterministic stratified subsample behind `ks_sample_budget`: exactly
-/// min(points.size(), budget) points, stratum j of k taking the midpoint
-/// index floor((2j+1)*n / (2k)). Stream windows are in arrival order, so
-/// the strata are contiguous time slices and every phase of the window
-/// stays represented. A pure function of (points, budget) — identical
-/// across runs, shard counts, and thread widths. budget == 0 (off) or
-/// n <= budget returns the input unchanged.
-[[nodiscard]] std::vector<geo::Point> ks_stratified_sample(
-    const std::vector<geo::Point>& points, std::size_t budget);
 
 /// Regime signal of one shard: the stream-window KS similarity against the
 /// shard's slice of the historical sample.
@@ -186,23 +170,14 @@ class OnlinePlacerDriver {
       forecast_hours_;
 };
 
-struct IncentiveDriverConfig {
-  core::IncentiveConfig incentive;
-  /// A watchlist-built session maps each watchlisted bike to the nearest
-  /// parking within this radius; farther bikes are left to the operator.
-  double assign_radius_m{1e9};
-
-  void validate() const;
-};
-
 class IncentiveDriver {
  public:
-  /// \throws std::invalid_argument on invalid config.
-  explicit IncentiveDriver(IncentiveDriverConfig config);
+  explicit IncentiveDriver(core::IncentiveConfig config);
 
   /// Open a session over `parkings` with its low-bike piles built from the
   /// merged watchlist (Algorithm 3's aggregation set, fed by telemetry
-  /// instead of a fleet scan). Replaces any running session.
+  /// instead of a fleet scan): each watchlisted bike joins the pile of its
+  /// nearest parking. Replaces any running session.
   /// \throws std::invalid_argument on empty parkings.
   void open_session(const std::vector<geo::Point>& parkings,
                     const std::vector<WatchEntry>& watchlist);
@@ -229,7 +204,7 @@ class IncentiveDriver {
  private:
   void fold_session_totals();
 
-  IncentiveDriverConfig config_;
+  core::IncentiveConfig config_;
   std::optional<core::IncentiveMechanism> session_;
   geo::SpatialIndex session_index_;
   /// Totals across closed sessions (the open session adds its own live

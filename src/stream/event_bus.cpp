@@ -13,8 +13,6 @@ namespace {
 
 struct BusObsMetrics {
   obs::Counter& published;
-  obs::Counter& dropped_oldest;
-  obs::Counter& rejected;
   obs::Counter& blocked;
   obs::Counter& drained_events;
   obs::Counter& drained_batches;
@@ -22,8 +20,6 @@ struct BusObsMetrics {
   static BusObsMetrics& get() {
     static BusObsMetrics m{
         obs::Registry::global().counter("stream.event_bus.published"),
-        obs::Registry::global().counter("stream.event_bus.dropped_oldest"),
-        obs::Registry::global().counter("stream.event_bus.rejected"),
         obs::Registry::global().counter("stream.event_bus.blocked_publishes"),
         obs::Registry::global().counter("stream.event_bus.drained_events"),
         obs::Registry::global().counter("stream.event_bus.drained_batches"),
@@ -39,15 +35,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kTripStart: return "trip_start";
     case EventKind::kTripEnd: return "trip_end";
     case EventKind::kBatteryLevel: return "battery_level";
-  }
-  return "unknown";
-}
-
-const char* backpressure_policy_name(BackpressurePolicy p) {
-  switch (p) {
-    case BackpressurePolicy::kBlock: return "block";
-    case BackpressurePolicy::kDropOldest: return "drop_oldest";
-    case BackpressurePolicy::kReject: return "reject";
   }
   return "unknown";
 }
@@ -103,8 +90,8 @@ std::size_t EventBus::shard_of(geo::Point p) const {
   return static_cast<std::size_t>(h % shards_.size());
 }
 
-bool EventBus::publish(Event e) {
-  return publish_batch(std::span<const Event>(&e, 1)) == 1;
+void EventBus::publish(Event e) {
+  (void)publish_batch(std::span<const Event>(&e, 1));
 }
 
 std::size_t EventBus::publish_batch(std::span<const Event> events) {
@@ -134,9 +121,6 @@ std::size_t EventBus::publish_batch(std::span<const Event> events) {
   }
 
   std::uint64_t blocked_n = 0;
-  std::uint64_t dropped_n = 0;
-  std::uint64_t rejected_n = 0;
-  std::size_t accepted = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
     const std::size_t lo = offset[s];
     const std::size_t hi = offset[s + 1];
@@ -145,46 +129,29 @@ std::size_t EventBus::publish_batch(std::span<const Event> events) {
     es::UniqueLock lock(shard.mu);
     for (std::size_t i = lo; i < hi; ++i) {
       if (shard.count == config_.queue_capacity) {
-        if (config_.policy == BackpressurePolicy::kBlock) {
-          ++shard.blocked;
-          ++blocked_n;
-          // Explicit recheck loop (not the predicate overload): the
-          // guarded reads stay in this annotated scope where the analysis
-          // can see the capability is held across the wait.
-          while (shard.count == config_.queue_capacity) {
-            shard.space.wait(lock);
-          }
-        } else if (config_.policy == BackpressurePolicy::kDropOldest) {
-          shard.head = (shard.head + 1) % config_.queue_capacity;
-          --shard.count;
-          ++shard.dropped;
-          ++dropped_n;
-        } else {  // kReject: the lock is held, so no drain can free space
-                  // for the rest of this sub-batch — shed it all at once.
-          shard.rejected += hi - i;
-          rejected_n += hi - i;
-          break;
+        ++shard.blocked;
+        ++blocked_n;
+        // Explicit recheck loop (not the predicate overload): the guarded
+        // reads stay in this annotated scope where the analysis can see
+        // the capability is held across the wait.
+        while (shard.count == config_.queue_capacity) {
+          shard.space.wait(lock);
         }
       }
       shard.ring[(shard.head + shard.count) % config_.queue_capacity] =
           staged[i];
       ++shard.count;
-      ++accepted;
     }
   }
 
-  if (accepted > 0) {
-    published_.fetch_add(static_cast<std::uint64_t>(accepted),
-                         std::memory_order_relaxed);
-  }
+  published_.fetch_add(static_cast<std::uint64_t>(n),
+                       std::memory_order_relaxed);
   if (obs::enabled()) {
     auto& m = BusObsMetrics::get();
-    if (accepted > 0) m.published.add(static_cast<std::uint64_t>(accepted));
+    m.published.add(static_cast<std::uint64_t>(n));
     if (blocked_n > 0) m.blocked.add(blocked_n);
-    if (dropped_n > 0) m.dropped_oldest.add(dropped_n);
-    if (rejected_n > 0) m.rejected.add(rejected_n);
   }
-  return accepted;
+  return n;
 }
 
 void EventBus::resume_seq(std::uint64_t next) {
@@ -244,8 +211,6 @@ BusStats EventBus::stats() const {
   st.published = published_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     const es::LockGuard lock(shard->mu);
-    st.dropped_oldest += shard->dropped;
-    st.rejected += shard->rejected;
     st.blocked_publishes += shard->blocked;
     st.drained += shard->drained;
   }

@@ -8,20 +8,16 @@
 /// downstream — demand windows, arrival rates, the watchlist — is keyed by
 /// cell, so one cell's state always lives in exactly one shard). Each shard
 /// owns one bounded MPSC ring: any number of publishers, one consumer
-/// draining in batches. A full ring applies the configured backpressure
-/// policy:
-///
-///   * kBlock      — publish waits for the consumer (lossless, the default);
-///   * kDropOldest — overwrite the oldest undrained event (freshness over
-///                   completeness, for telemetry like battery levels);
-///   * kReject     — publish fails fast and returns false (load shedding).
+/// draining in batches. A full ring blocks the publisher until the
+/// consumer frees space, so the bus is lossless: Algorithm 2 decides every
+/// request it is handed, and none is ever shed.
 ///
 /// Every publish is stamped with a bus-wide monotonic sequence number.
 /// Per-shard FIFO plus the seq stamp lets a consumer merge any number of
 /// shards back into the exact publish order (Pipeline's merge stage, see
 /// pipeline.h), which is the mechanism behind the multi-shard ==
 /// single-shard determinism guarantee.
-/// Drops/rejections/blocks are observable through `obs` counters
+/// Publishes, blocks and drains are observable through `obs` counters
 /// (`stream.event_bus.*`).
 
 #include <atomic>
@@ -38,19 +34,10 @@
 
 namespace esharing::stream {
 
-enum class BackpressurePolicy : std::uint8_t {
-  kBlock = 0,
-  kDropOldest = 1,
-  kReject = 2
-};
-
-[[nodiscard]] const char* backpressure_policy_name(BackpressurePolicy p);
-
 struct EventBusConfig {
   std::size_t shard_count{1};      ///< >= 1; shards own disjoint cell sets
   std::size_t queue_capacity{4096};///< per-shard ring capacity (events)
   std::size_t max_batch{256};      ///< drain batch cap; <= queue_capacity
-  BackpressurePolicy policy{BackpressurePolicy::kBlock};
   double route_cell_m{100.0};      ///< routing cell edge (paper grid: 100 m)
 
   /// Fail fast with an actionable message (PR 2 validate() convention).
@@ -62,8 +49,6 @@ struct EventBusConfig {
 /// also land in the obs registry when enabled).
 struct BusStats {
   std::uint64_t published{0};
-  std::uint64_t dropped_oldest{0};
-  std::uint64_t rejected{0};
   std::uint64_t blocked_publishes{0};  ///< publishes that had to wait
   std::uint64_t drained{0};
 };
@@ -82,12 +67,9 @@ class EventBus {
   [[nodiscard]] std::size_t shard_of(geo::Point p) const;
 
   /// Publish one event; assigns `e.seq` (bus-wide monotonic) and routes by
-  /// `e.where`. Returns false only under kReject on a full ring (the event
-  /// is discarded and no seq is consumed from the caller's perspective of
-  /// delivered events — rejected publishes still advance the stamp so
-  /// accepted order stays consistent across shards). Thin wrapper over
-  /// publish_batch on a one-event span.
-  bool publish(Event e);
+  /// `e.where`, waiting for ring space when its shard is full. Thin wrapper
+  /// over publish_batch on a one-event span.
+  void publish(Event e);
 
   /// Publish a batch: one seq-range reservation stamps the whole span in
   /// order, events are grouped by destination shard (relative order
@@ -95,11 +77,9 @@ class EventBus {
   /// lock acquisition instead of one per event. For a single publisher the
   /// delivered stream is indistinguishable from the equivalent sequence of
   /// per-event publishes; concurrent batches each own a contiguous seq
-  /// range. Backpressure matches publish(): kBlock waits for ring space
-  /// per event (releasing the lock while waiting), kDropOldest evicts, and
-  /// kReject sheds the remainder of a full shard's sub-batch — under a
-  /// held lock no drain can interleave, so per-event publishes would have
-  /// rejected those events too. Returns the number of accepted events.
+  /// range. A full ring waits for space per event, releasing the lock
+  /// while waiting. Returns the number of events published, which is
+  /// always events.size() (the protocol's publish ack carries it).
   std::size_t publish_batch(std::span<const Event> events);
 
   /// Drain up to min(max_batch, pending) events from one shard, appending
@@ -132,12 +112,10 @@ class EventBus {
     explicit Shard(std::size_t capacity) : ring(capacity) {}
 
     mutable es::Mutex mu;
-    es::CondVar space;  ///< producers wait here under kBlock
+    es::CondVar space;  ///< producers wait here on a full ring
     std::vector<Event> ring ES_GUARDED_BY(mu);
     std::size_t head ES_GUARDED_BY(mu){0};  ///< oldest undrained slot
     std::size_t count ES_GUARDED_BY(mu){0};
-    std::uint64_t dropped ES_GUARDED_BY(mu){0};
-    std::uint64_t rejected ES_GUARDED_BY(mu){0};
     std::uint64_t blocked ES_GUARDED_BY(mu){0};
     std::uint64_t drained ES_GUARDED_BY(mu){0};
   };

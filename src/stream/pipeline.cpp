@@ -41,7 +41,6 @@ PipelineConfig validated(PipelineConfig config) {
 void PipelineConfig::validate() const {
   bus.validate();
   placer.validate();
-  incentive.validate();
   // lanes: every value is legal (0 = pool width, 1 = inline) and all are
   // bit-identical.
 }
@@ -113,8 +112,8 @@ std::size_t Pipeline::drain_round() {
     }
     merged_.push_back(lane_buffers_[best][cursor[best]++]);
     // A gap means the merge could not hand over the next publish-order
-    // event (lost to drop/reject, or still in flight from a concurrent
-    // publisher). The merge never waits — it counts and moves on.
+    // event (still in flight from a concurrent publisher). The merge
+    // never waits — it counts and moves on.
     if (best_seq != next_expected_seq_) ++stalls;
     next_expected_seq_ = best_seq + 1;
   }
@@ -184,10 +183,8 @@ ReplayResult Pipeline::replay(const std::vector<Event>& events) {
   std::size_t i = 0;
   while (i < events.size()) {
     const std::size_t n = std::min(capacity, events.size() - i);
-    const std::size_t accepted =
+    result.published +=
         publish_batch(std::span<const Event>(events).subspan(i, n));
-    result.published += accepted;
-    result.rejected += n - accepted;
     result.consumed += pump(&result.decisions);
     i += n;
   }

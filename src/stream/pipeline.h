@@ -13,9 +13,9 @@
 ///      Lanes are exec-pool chunks, not dedicated threads: the pool's
 ///      chunk shapes depend only on (shard_count, grain), never on timing.
 ///   2. Merge stage — per-shard FIFO batches are merged by the bus-wide
-///      seq stamp back into exact publish order. Seq gaps (events lost to
-///      drop/reject policies or still in flight from concurrent
-///      publishers) are counted as merge stalls, never waited on.
+///      seq stamp back into exact publish order. Seq gaps (events still in
+///      flight from concurrent publishers) are counted as merge stalls,
+///      never waited on.
 ///   3. Consume stage — the merged batch goes to
 ///      OnlinePlacerDriver::consume_batch, which fans the shard-local
 ///      window/regime work back out across the same lanes and then runs
@@ -49,7 +49,7 @@ namespace esharing::stream {
 struct PipelineConfig {
   EventBusConfig bus;
   PlacerDriverConfig placer;
-  IncentiveDriverConfig incentive;
+  core::IncentiveConfig incentive;
   /// Lane width of the parallel shard stages: 0 = exec pool width,
   /// 1 = sequential (the single-threaded reference execution), n = up to
   /// n concurrent lanes. Any value is bit-identical to any other.
@@ -65,7 +65,6 @@ struct PipelineConfig {
 struct ReplayResult {
   std::size_t published{0};
   std::size_t consumed{0};
-  std::size_t rejected{0};  ///< kReject publishes that were shed
   std::vector<solver::OnlineDecision> decisions;
 };
 
@@ -105,7 +104,7 @@ class Pipeline {
   }
 
   /// Publish into the bus (see EventBus::publish/publish_batch).
-  bool publish(Event e) { return bus_.publish(e); }
+  void publish(Event e) { bus_.publish(e); }
   std::size_t publish_batch(std::span<const Event> events) {
     return bus_.publish_batch(events);
   }
@@ -136,7 +135,7 @@ class Pipeline {
   std::size_t pump_decisions(const DecisionCallback& on_decision);
 
   /// Publish `events` in order, in batches of at most the bus queue
-  /// capacity, and pump after each batch — so a kBlock bus is always
+  /// capacity, and pump after each batch — so the bus is always
   /// drained before any shard can fill, even if a whole batch routes to
   /// one shard. The decision trace depends only on the log, never on the
   /// shard count, the queue capacity or the lane count.

@@ -109,14 +109,12 @@ TEST_F(SimulationFixture, AlphaZeroPaysNothing) {
 }
 
 TEST_F(SimulationFixture, DeterministicPerSeed) {
-  // Plain replay, then the strongest determinism stressors together: the
-  // placer's KS regime check (sliding window + RNG-backed regime state)
-  // and scheduled landmark re-anchors (which rewrite the station universe).
+  // Plain replay, then the strongest determinism stressor: the placer's
+  // KS regime check (sliding window + RNG-backed regime state) with
+  // adaptive penalty types.
   SimConfig stressed = fast_sim();
   stressed.esharing.placer.ks_period = 64;
   stressed.esharing.placer.adaptive_type = true;
-  stressed.reanchor_period = 6 * 3600;
-  stressed.reanchor_state.window_length = 6 * 3600;
   for (const SimConfig& cfg : {fast_sim(), stressed}) {
     Simulation a(city_, cfg, 9);
     Simulation b(city_, cfg, 9);
@@ -129,10 +127,6 @@ TEST_F(SimulationFixture, DeterministicPerSeed) {
     EXPECT_EQ(ma.stations_final, mb.stations_final);
     EXPECT_EQ(ma.stations_online_opened, mb.stations_online_opened);
     EXPECT_EQ(ma.stations_removed, mb.stations_removed);
-    EXPECT_EQ(ma.reanchors, mb.reanchors);
-    if (cfg.reanchor_period > 0) {
-      EXPECT_GT(ma.reanchors, 0u);
-    }
     EXPECT_DOUBLE_EQ(ma.incentives_paid, mb.incentives_paid);
     EXPECT_EQ(ma.offers_made, mb.offers_made);
     EXPECT_EQ(ma.relocations, mb.relocations);
@@ -204,36 +198,6 @@ TEST_F(SimulationFixture, RemovalCanBeDisabled) {
   sim.bootstrap(history_);
   const auto metrics = sim.run(live_);
   EXPECT_EQ(metrics.stations_removed, 0u);
-}
-
-TEST_F(SimulationFixture, ReanchorCadenceRunsAndCountsEpochs) {
-  SimConfig cfg = fast_sim();
-  cfg.reanchor_period = 6 * 3600;
-  cfg.reanchor_state.window_length = 6 * 3600;
-  Simulation sim(city_, cfg, 13);
-  sim.bootstrap(history_);
-  const auto metrics = sim.run(live_);  // two days of trips
-  EXPECT_GT(metrics.reanchors, 0u);
-  EXPECT_EQ(metrics.trips, live_.size());
-  EXPECT_GE(metrics.stations_final, 1u);
-  // Disabled cadence: no re-anchors, field stays zero.
-  Simulation off(city_, fast_sim(), 13);
-  off.bootstrap(history_);
-  EXPECT_EQ(off.run(live_).reanchors, 0u);
-}
-
-TEST(SimConfigValidate, ReanchorKnobs) {
-  SimConfig cfg;
-  cfg.reanchor_period = -1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.reanchor_period = 3600;
-  cfg.reanchor_min_cells = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.reanchor_min_cells = 2;
-  cfg.reanchor_state.cell_m = 0.0;  // nested window config must validate
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.reanchor_state.cell_m = 100.0;
-  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(SimMetrics, EmptyMetricsEdgeCases) {

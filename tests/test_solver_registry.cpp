@@ -52,9 +52,9 @@ TEST(SolverRegistry, ListsAllBuiltinsSorted) {
   for (const auto& name : expected) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << "missing builtin " << name;
-    EXPECT_TRUE(SolverRegistry::global().contains(name));
   }
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(names, expected);  // the built-ins are the whole table
 }
 
 TEST(SolverRegistry, JmsRouteIsBitIdenticalToDirectCall) {
@@ -123,37 +123,6 @@ TEST(SolverRegistry, UnknownNameErrorListsRegisteredSolvers) {
     EXPECT_NE(what.find("jms"), std::string::npos);
     EXPECT_NE(what.find("meyerson"), std::string::npos);
   }
-}
-
-TEST(SolverRegistry, RegisterRejectsDuplicatesEmptyNamesAndNullFns) {
-  SolverRegistry& reg = SolverRegistry::global();
-  EXPECT_THROW(reg.register_solver("jms", [](const FlInstance& inst,
-                                             const SolveOptions&) {
-                 return jms_greedy(inst);
-               }),
-               std::invalid_argument);
-  EXPECT_THROW(reg.register_solver("", [](const FlInstance& inst,
-                                          const SolveOptions&) {
-                 return jms_greedy(inst);
-               }),
-               std::invalid_argument);
-  EXPECT_THROW(reg.register_solver("null_fn", SolverFn{}),
-               std::invalid_argument);
-  EXPECT_FALSE(reg.contains("null_fn"));
-}
-
-TEST(SolverRegistry, CustomSolverIsCallableByName) {
-  SolverRegistry& reg = SolverRegistry::global();
-  if (!reg.contains("first_facility")) {
-    reg.register_solver("first_facility",
-                        [](const FlInstance& inst, const SolveOptions&) {
-                          return assign_to_open(inst, {0});
-                        });
-  }
-  const auto inst = small_instance(20, 5000.0, 16);
-  const FlSolution sol = reg.solve("first_facility", inst);
-  EXPECT_EQ(sol.open, std::vector<std::size_t>{0});
-  expect_valid(inst, sol);
 }
 
 TEST(SolverRegistry, ExactCapIsEnforced) {

@@ -211,12 +211,44 @@ TEST(StreamCheckpoint, HalfwayRestoreContinuesBitIdentically) {
   EXPECT_EQ(blob_a.str(), blob_b.str());
 }
 
+TEST(StreamCheckpoint, HeaderBytesAreFrozen) {
+  // The fixed 49-byte header, spelled out byte by byte so any change to
+  // the fingerprint layout (including the retired policy byte, always 0)
+  // fails here rather than only at a restore in the field.
+  Deployment p(3);
+  (void)p.pipeline.replay(mixed_log(8, 100));  // 110 events → next_seq 110
+  std::ostringstream os;
+  p.pipeline.save_checkpoint(os);
+  const std::string blob = os.str();
+  const unsigned char expected[49] = {
+      // magic "ESTRCCP1" as a little-endian u64
+      0x31, 0x50, 0x43, 0x43, 0x52, 0x54, 0x53, 0x45,
+      // version 2
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // shard_count 4
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // route_cell_m 100.0 (IEEE-754 0x4059000000000000)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x59, 0x40,
+      // policy byte
+      0x00,
+      // queue_capacity 128
+      0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // next_seq 110
+      0x6e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  ASSERT_GT(blob.size(), sizeof(expected));
+  for (std::size_t i = 0; i < sizeof(expected); ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(blob[i]), expected[i])
+        << "header byte " << i;
+  }
+}
+
 TEST(StreamCheckpoint, SaveRequiresDrainedQueues) {
   Deployment p(3);
   Event e;
   e.kind = EventKind::kTripEnd;
   e.where = {10, 10};
-  ASSERT_TRUE(p.pipeline.publish(e));
+  p.pipeline.publish(e);
   std::ostringstream blob;
   EXPECT_THROW(p.pipeline.save_checkpoint(blob), std::logic_error);
   // Draining and consuming clears the objection.

@@ -1,18 +1,16 @@
 /// Parallel sharded ingestion (stream::Pipeline on the exec pool):
 ///
 ///   * StreamBatchPublish — EventBus::publish_batch semantics: one seq
-///     range, per-shard FIFO, policy-faithful backpressure, and exact
-///     equivalence with per-event publish.
+///     range, per-shard FIFO, and exact equivalence with per-event
+///     publish.
 ///   * StreamParallelMatrix — the determinism tentpole: placer decisions
 ///     and checkpoint bytes across (shards 1/4/8 × pool widths 1/2/8),
 ///     with regime checks and re-anchoring enabled.
 ///   * StreamPipelineFacade — the unified config/facade: validation
 ///     propagation, merged seq order out of pump_into, checkpoint
 ///     round-trips, merge-stall accounting.
-///   * StreamPeacockFix — the 8-shard cliff fix: the stratified KS sample
-///     budget changes neither decisions nor KS verdicts.
 ///   * StreamLaneHammer — TSan target: concurrent batch publishers against
-///     parallel lane drains on a small kBlock bus.
+///     parallel lane drains on a small, blocking bus.
 
 #include <gtest/gtest.h>
 
@@ -136,7 +134,7 @@ TEST(StreamBatchPublish, MatchesPerEventPublishExactly) {
   EventBus one_by_one(cfg);
   EventBus batched(cfg);
 
-  for (const Event& e : log) ASSERT_TRUE(one_by_one.publish(e));
+  for (const Event& e : log) one_by_one.publish(e);
   EXPECT_EQ(batched.publish_batch(log), log.size());
 
   // Per shard, both buses hold the same FIFO sequence.
@@ -183,49 +181,6 @@ TEST(StreamBatchPublish, StampsOneContiguousRangeInSpanOrder) {
   std::sort(merged.begin(), merged.end(), BySeq{});
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(merged[i].seq, i);
-  }
-}
-
-TEST(StreamBatchPublish, RejectShedsTheOverflowingTail) {
-  EventBusConfig cfg;
-  cfg.shard_count = 1;
-  cfg.queue_capacity = 8;
-  cfg.max_batch = 8;
-  cfg.policy = BackpressurePolicy::kReject;
-  EventBus bus(cfg);
-  const auto log = mixed_log(1, 20);
-  ASSERT_GT(log.size(), 8u);
-
-  EXPECT_EQ(bus.publish_batch(log), 8u);
-  EXPECT_EQ(bus.stats().rejected, log.size() - 8);
-  EXPECT_EQ(bus.pending(0), 8u);
-
-  // The accepted prefix is the first 8 events; a drained ring accepts the
-  // next batch again.
-  std::vector<Event> out;
-  while (bus.drain(0, out) > 0) {
-  }
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].seq, i);
-  EXPECT_EQ(bus.publish_batch(std::span<const Event>(log).subspan(0, 4)), 4u);
-}
-
-TEST(StreamBatchPublish, DropOldestKeepsTheNewestEvents) {
-  EventBusConfig cfg;
-  cfg.shard_count = 1;
-  cfg.queue_capacity = 8;
-  cfg.max_batch = 8;
-  cfg.policy = BackpressurePolicy::kDropOldest;
-  EventBus bus(cfg);
-  const auto log = mixed_log(2, 20);
-
-  EXPECT_EQ(bus.publish_batch(log), log.size());
-  EXPECT_EQ(bus.stats().dropped_oldest, log.size() - 8);
-  std::vector<Event> out;
-  while (bus.drain(0, out) > 0) {
-  }
-  ASSERT_EQ(out.size(), 8u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].seq, log.size() - 8 + i);
   }
 }
 
@@ -362,13 +317,8 @@ TEST(StreamPipelineFacade, ValidatesEveryNestedConfig) {
                std::invalid_argument);
 
   PipelineConfig bad_placer;
-  bad_placer.placer.ks_sample_budget = 2;
+  bad_placer.placer.regime_min_samples = 0;
   EXPECT_THROW(Pipeline(sys.system, sys.sample, bad_placer),
-               std::invalid_argument);
-
-  PipelineConfig bad_incentive;
-  bad_incentive.incentive.assign_radius_m = 0.0;
-  EXPECT_THROW(Pipeline(sys.system, sys.sample, bad_incentive),
                std::invalid_argument);
 
   EXPECT_NO_THROW(PipelineConfig{}.validate());
@@ -403,16 +353,17 @@ TEST(StreamPipelineFacade, MergeStallsCountSeqGaps) {
   cfg.bus.shard_count = 1;
   cfg.bus.queue_capacity = 8;
   cfg.bus.max_batch = 8;
-  cfg.bus.policy = BackpressurePolicy::kReject;
   Pipeline pipeline(sys.system, sys.sample, cfg);
   const auto log = mixed_log(8, 20);
 
-  // 8 accepted, the rest shed: their seqs are consumed but never arrive.
-  EXPECT_EQ(pipeline.publish_batch(log), 8u);
+  EXPECT_EQ(pipeline.publish_batch(std::span<const Event>(log).subspan(0, 8)),
+            8u);
   EXPECT_EQ(pipeline.pump_into([](const Event&) {}), 8u);
   EXPECT_EQ(pipeline.stats().merge_stalls, 0u);
 
-  // The next accepted event starts past the shed range — one gap.
+  // Skip 12 seqs the merge will never see: the next event starts past the
+  // gap — one stall.
+  pipeline.bus().resume_seq(pipeline.bus().next_seq() + 12);
   EXPECT_EQ(pipeline.publish_batch(std::span<const Event>(log).subspan(0, 2)),
             2u);
   EXPECT_EQ(pipeline.pump_into([](const Event&) {}), 2u);
@@ -466,72 +417,10 @@ TEST(StreamPipelineFacade, CheckpointRoundTripContinuesBitIdentically) {
       << bytes_a.size() << " / " << bytes_b.size();
 }
 
-// --- StreamPeacockFix -------------------------------------------------------
-
-struct RegimeOut {
-  std::vector<solver::OnlineDecision> decisions;
-  std::vector<double> similarities;
-  std::vector<std::uint64_t> checks;
-};
-
-RegimeOut run_regimes(std::size_t budget, const std::vector<Event>& log) {
-  OnlineSystem sys(23);
-  PipelineConfig cfg;
-  cfg.bus.shard_count = 2;
-  cfg.placer.regime_check_period = 32;
-  cfg.placer.regime_min_samples = 8;
-  cfg.placer.ks_sample_budget = budget;
-  cfg.lanes = 1;
-  Pipeline pipeline(sys.system, sys.sample, cfg);
-  RegimeOut out;
-  out.decisions = pipeline.replay(log).decisions;
-  const auto& driver = pipeline.placer_driver();
-  for (std::size_t s = 0; s < driver.shard_count(); ++s) {
-    out.similarities.push_back(driver.shard_regime(s).similarity);
-    out.checks.push_back(driver.shard_regime(s).checks);
-  }
-  return out;
-}
-
-TEST(StreamPeacockFix, SampleBudgetKeepsDecisionsAndVerdicts) {
-  const auto log = mixed_log(47, 240);
-  const auto full = run_regimes(0, log);
-  const auto budgeted = run_regimes(48, log);
-
-  expect_same_decisions(full.decisions, budgeted.decisions);
-  ASSERT_EQ(full.checks.size(), budgeted.checks.size());
-  for (std::size_t s = 0; s < full.checks.size(); ++s) {
-    EXPECT_EQ(full.checks[s], budgeted.checks[s]) << "shard " << s;
-    EXPECT_GT(full.checks[s], 0u) << "shard " << s;
-    EXPECT_NEAR(full.similarities[s], budgeted.similarities[s], 12.0)
-        << "shard " << s;
-  }
-}
-
-TEST(StreamPeacockFix, StratifiedSampleIsDeterministicAndOrdered) {
-  std::vector<Point> points;
-  for (int i = 0; i < 100; ++i) {
-    points.push_back({static_cast<double>(i), static_cast<double>(i * 2)});
-  }
-  const auto a = ks_stratified_sample(points, 16);
-  const auto b = ks_stratified_sample(points, 16);
-  ASSERT_EQ(a.size(), 16u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].x, b[i].x);
-    if (i > 0) {
-      EXPECT_LT(a[i - 1].x, a[i].x);  // strata ascend in time
-    }
-  }
-  // Within budget or disabled: the input passes through unchanged.
-  EXPECT_EQ(ks_stratified_sample(points, 100).size(), points.size());
-  EXPECT_EQ(ks_stratified_sample(points, 0).size(), points.size());
-  EXPECT_EQ(ks_stratified_sample({}, 8).size(), 0u);
-}
-
 // --- StreamLaneHammer -------------------------------------------------------
 
 TEST(StreamLaneHammer, ConcurrentBatchPublishersAgainstParallelDrains) {
-  // TSan target: 4 producer threads batch-publish onto a tiny kBlock bus
+  // TSan target: 4 producer threads batch-publish onto a tiny bus
   // (so they block on backpressure) while the consumer runs parallel lane
   // drains. Conservation is exact: nothing lost, nothing duplicated.
   const ScopedThreads threads(4);
@@ -562,7 +451,7 @@ TEST(StreamLaneHammer, ConcurrentBatchPublishersAgainstParallelDrains) {
           e.where = {rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)};
           chunk.push_back(e);
         }
-        pipeline.publish_batch(chunk);  // kBlock: waits for the pump
+        pipeline.publish_batch(chunk);  // a full ring waits for the pump
       }
     });
   }
@@ -584,8 +473,6 @@ TEST(StreamLaneHammer, ConcurrentBatchPublishersAgainstParallelDrains) {
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.bus.published, kExpected);
   EXPECT_EQ(stats.merged_events, kExpected);
-  EXPECT_EQ(stats.bus.dropped_oldest, 0u);
-  EXPECT_EQ(stats.bus.rejected, 0u);
 }
 
 }  // namespace
