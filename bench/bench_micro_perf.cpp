@@ -13,7 +13,7 @@
 #include "ml/batch.h"
 #include "solver/jms_greedy.h"
 #include "solver/meyerson.h"
-#include "solver/reference.h"
+#include "solver_reference.h"
 #include "solver/tsp.h"
 #include "stats/ks2d.h"
 #include "stats/rng.h"
@@ -46,6 +46,8 @@ void BM_JmsGreedy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JmsGreedy)->Arg(50)->Arg(100)->Arg(200);
+// Paper-scale rows (845 and 2,400 candidate sites), in milliseconds.
+BENCHMARK(BM_JmsGreedy)->Arg(845)->Arg(2400)->Unit(benchmark::kMillisecond);
 
 /// The frozen pre-oracle JMS (per-iteration cost recompute + full re-sort)
 /// against the oracle-backed production solver above — same instances, so

@@ -17,12 +17,34 @@
 ///
 /// Costs come from a CostOracle: each facility's cost row and (cost,
 /// client) ordering are materialized once instead of being recomputed and
-/// re-sorted every iteration, dropping the per-iteration work from
-/// O(F * C log C) to O(F * C). Star evaluation can optionally be
-/// partitioned across threads; the winning star is reduced by the
-/// lexicographic (ratio, facility, prefix-size) minimum, which equals the
-/// sequential first-strict-minimum scan, so results are bit-identical for
-/// every num_threads value (see solver::reference for the frozen baseline).
+/// re-sorted every iteration.
+///
+/// Star cache. The solve keeps each facility's best star between
+/// iterations and, after an opening, evaluates again only the facilities
+/// whose star that opening could have changed. A facility other than the
+/// one just opened keeps its star when
+///   (a) no term of its switching gain changed: it is no cheaper than each
+///       switched client's old cost and each newly connected client's new
+///       cost;
+///   (b) every newly connected client sorts strictly after the client its
+///       last walk stopped at, in (cost, client) order;
+///   (c) that walk did stop early. A walk stops at the first unconnected
+///       client whose cost is at least r + (2k+1) D, where r is the best
+///       ratio so far, k the number of clients walked and D a proven bound
+///       on the rounding error of any of the facility's candidate ratios.
+///       No longer prefix can then win, ties and rounding included.
+/// A re-evaluated star uses the same sums in the same order as a full
+/// rescan, so every ratio is the same double and the plans are
+/// bit-identical to the frozen full-rescan greedy (solver::reference, a
+/// test-only library under tests/). The derivation of D and of the stop
+/// rule is at evaluate_star (jms_greedy.cpp). The obs counter
+/// solver.jms_greedy.stars_evaluated counts star evaluations; a full
+/// rescan evaluates every facility in every iteration.
+///
+/// The per-facility scan can be partitioned across threads; the winning
+/// star is reduced by the lexicographic (ratio, facility, prefix-size)
+/// minimum, which equals the sequential first-strict-minimum scan, so
+/// results are bit-identical for every num_threads value.
 
 #include <cstddef>
 #include <vector>

@@ -347,6 +347,7 @@ TEST(ObsGolden, InstrumentedHotPathsUseTheFrozenMetricNames) {
            "solver.cost_oracle.row_materializations",
            "solver.jms_greedy.solves",
            "solver.jms_greedy.iterations",
+           "solver.jms_greedy.stars_evaluated",
            "ml.forecast.fits",
            "ml.forecast.batch_refreshes",
            "ml.forecast.steps",

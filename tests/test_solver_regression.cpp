@@ -9,13 +9,14 @@
 #include "core/deviation_placer.h"
 #include "core/penalty.h"
 #include "obs/metrics.h"
+#include "obs/registry.h"
 #include "solver/cost_oracle.h"
 #include "solver/instance_delta.h"
 #include "solver/jms_greedy.h"
 #include "solver/k_median.h"
 #include "solver/local_search.h"
-#include "solver/reference.h"
 #include "solver/reopt.h"
+#include "solver_reference.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -99,6 +100,176 @@ FlInstance colocated_with_duplicates(stats::Rng& rng, std::size_t n,
     costs.push_back(f * rng.uniform(0.5, 1.5));
   }
   return colocated_instance(std::move(clients), std::move(costs));
+}
+
+/// Sites shaped like the serving daemon's bootstrap plan: `trips` trip ends
+/// drawn around 60 weighted hotspots in a 10 km city (15% uniform
+/// background), binned into 100 m cells; every cell with at least
+/// `min_trips` ends becomes a site at its centroid weighted by its count,
+/// all priced at 10000.
+FlInstance clustered_city(std::uint64_t seed, std::size_t trips,
+                          double min_trips) {
+  constexpr double kArea = 10000.0;
+  constexpr std::size_t kCells = 100;
+  stats::Rng rng(seed);
+  std::vector<Point> hotspots;
+  std::vector<double> hotspot_weight;
+  for (int h = 0; h < 60; ++h) {
+    hotspots.push_back({rng.uniform(0.0, kArea), rng.uniform(0.0, kArea)});
+    hotspot_weight.push_back(rng.uniform(1.0, 4.0));
+  }
+  const double cell_m = kArea / static_cast<double>(kCells);
+  std::vector<double> arrivals(kCells * kCells, 0.0);
+  for (std::size_t t = 0; t < trips; ++t) {
+    Point p{rng.uniform(0.0, kArea), rng.uniform(0.0, kArea)};
+    if (!rng.bernoulli(0.15)) {
+      const Point c = hotspots[rng.weighted_index(hotspot_weight)];
+      p = {std::clamp(c.x + rng.normal(0.0, 200.0), 0.0, kArea),
+           std::clamp(c.y + rng.normal(0.0, 200.0), 0.0, kArea)};
+    }
+    const auto col =
+        std::min(static_cast<std::size_t>(p.x / cell_m), kCells - 1);
+    const auto row =
+        std::min(static_cast<std::size_t>(p.y / cell_m), kCells - 1);
+    arrivals[row * kCells + col] += 1.0;
+  }
+  std::vector<FlClient> clients;
+  std::vector<double> costs;
+  for (std::size_t cell = 0; cell < arrivals.size(); ++cell) {
+    if (arrivals[cell] < min_trips) continue;
+    clients.push_back({{(static_cast<double>(cell % kCells) + 0.5) * cell_m,
+                        (static_cast<double>(cell / kCells) + 0.5) * cell_m},
+                       arrivals[cell]});
+    costs.push_back(10000.0);
+  }
+  return colocated_instance(std::move(clients), std::move(costs));
+}
+
+/// A square lattice with unit weights and one opening cost everywhere. With
+/// an integer spacing, axis-aligned costs are exact integers, so star
+/// ratios tie exactly across facilities and, when the opening cost is a
+/// multiple of the spacing, within a walk (the next client's cost equals
+/// the best ratio). A spacing of 0.7 (not a binary fraction) turns those
+/// ties into rounding near-ties, where a walk that stopped at the first
+/// cost >= the best ratio would miss a longer prefix rounding below it.
+FlInstance lattice(std::size_t side, double spacing, double opening_cost) {
+  std::vector<FlClient> clients;
+  for (std::size_t r = 0; r < side; ++r) {
+    for (std::size_t c = 0; c < side; ++c) {
+      clients.push_back({{static_cast<double>(c) * spacing,
+                          static_cast<double>(r) * spacing},
+                         1.0});
+    }
+  }
+  return colocated_instance(std::move(clients),
+                            std::vector<double>(side * side, opening_cost));
+}
+
+/// The star cache against the frozen full-rescan greedy on dense-tie
+/// instances, at pool widths 1, 2, 4 and the process-wide width.
+void expect_jms_matches_reference(const FlInstance& inst) {
+  const FlSolution want = reference::jms_greedy(inst);
+  const CostOracle oracle(inst);
+  for (std::size_t width : {1u, 2u, 4u, 0u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    expect_identical(jms_greedy(oracle, JmsOptions{width}), want);
+  }
+}
+
+/// Cheap openings (1000, 2000) open many stars whose switched clients
+/// change other facilities' gains; 15000 is the hourly re-plan's price.
+TEST(SolverRegression, JmsGreedyMatchesReferenceOnDuplicateSites) {
+  for (double opening_cost : {1000.0, 2000.0, 15000.0}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("opening cost " + std::to_string(opening_cost) + " seed " +
+                   std::to_string(seed));
+      stats::Rng rng(seed * 31);
+      expect_jms_matches_reference(
+          colocated_with_duplicates(rng, 200, opening_cost));
+    }
+  }
+}
+
+TEST(SolverRegression, JmsGreedyMatchesReferenceOnTiedLattice) {
+  for (double opening_cost : {100.0, 200.0, 400.0, 1000.0}) {
+    SCOPED_TRACE("opening cost " + std::to_string(opening_cost));
+    expect_jms_matches_reference(lattice(14, 100.0, opening_cost));
+  }
+  SCOPED_TRACE("spacing 0.7");
+  expect_jms_matches_reference(lattice(6, 0.7, 0.7));
+}
+
+TEST(SolverRegression, JmsGreedyMatchesReferenceOnBootstrapShapedCity) {
+  const FlInstance inst = clustered_city(20200707, 12000, 6.0);
+  ASSERT_GT(inst.facilities.size(), 500u);
+  ASSERT_LT(inst.facilities.size(), 700u);
+  expect_jms_matches_reference(inst);
+}
+
+/// A warm start is the cold greedy with the seeds' opening costs sunk:
+/// the reference on the instance with those costs zeroed picks the same
+/// stars. Every seed is colocated with a positive-weight client, so it wins
+/// a ratio-0 star in the first |seeds| iterations (tying with the other
+/// seeds) and is open in both runs; the plans then agree apart from the
+/// opening cost, which the warm run charges in full.
+TEST(SolverRegression, JmsGreedyWarmMatchesReferenceWithSunkSeeds) {
+  struct Case {
+    FlInstance inst;
+    std::vector<std::size_t> seeds;
+  };
+  stats::Rng rng(404);
+  std::vector<Case> cases;
+  cases.push_back({lattice(14, 100.0, 400.0), {0, 15, 97, 195}});
+  cases.push_back(
+      {colocated_with_duplicates(rng, 200, 15000.0), {3, 40, 41, 120, 187}});
+  cases.push_back({clustered_city(7, 6000, 4.0), {1, 50, 200, 333}});
+  for (const Case& c : cases) {
+    SCOPED_TRACE("facilities " + std::to_string(c.inst.facilities.size()));
+    ASSERT_LT(c.seeds.back(), c.inst.facilities.size());
+    FlInstance sunk = c.inst;
+    for (std::size_t f : c.seeds) sunk.facilities[f].opening_cost = 0.0;
+    const FlSolution want = reference::jms_greedy(sunk);
+    double opening_cost = 0.0;
+    for (std::size_t f : want.open) {
+      opening_cost += c.inst.facilities[f].opening_cost;
+    }
+    const CostOracle oracle(c.inst);
+    for (std::size_t width : {1u, 2u, 4u, 0u}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      const FlSolution got =
+          jms_greedy_warm(oracle, c.seeds, JmsOptions{width});
+      EXPECT_EQ(got.open, want.open);
+      EXPECT_EQ(got.assignment, want.assignment);
+      EXPECT_EQ(got.connection_cost, want.connection_cost);
+      EXPECT_EQ(got.opening_cost, opening_cost);
+    }
+  }
+}
+
+/// Host-independent work gate for the star cache: on a ~1,200-site
+/// clustered city the solve evaluates every star once and then, per
+/// iteration, at most 15% of them again (a full rescan is 100%).
+TEST(JmsGreedy, StarCacheReevaluatesFewStarsOnAClusteredCity) {
+  const FlInstance inst = clustered_city(20200707, 30000, 8.0);
+  const auto nf = static_cast<double>(inst.facilities.size());
+  ASSERT_GT(nf, 1100.0);
+  ASSERT_LT(nf, 1300.0);
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& iterations = reg.counter("solver.jms_greedy.iterations");
+  obs::Counter& stars = reg.counter("solver.jms_greedy.stars_evaluated");
+  obs::set_enabled(true);
+  const std::uint64_t iterations0 = iterations.value();
+  const std::uint64_t stars0 = stars.value();
+  (void)jms_greedy(inst);
+  const auto solve_iterations =
+      static_cast<double>(iterations.value() - iterations0);
+  const auto evaluated = static_cast<double>(stars.value() - stars0);
+  obs::set_enabled(false);
+  ASSERT_GT(solve_iterations, 1.0);
+  EXPECT_GE(evaluated, nf);
+  EXPECT_LE(evaluated, nf + 0.15 * solve_iterations * nf)
+      << "iterations " << solve_iterations << ", stars evaluated "
+      << evaluated;
 }
 
 TEST(SolverRegression, LocalSearchMatchesReference) {
