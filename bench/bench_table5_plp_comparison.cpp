@@ -87,24 +87,5 @@ int main() {
             << "mean walk per E-sharing request:    "
             << bench::fmt(avg_walk_m, 0) << " m  (paper: ~180 m)\n";
 
-  // Offline solver frontier on one region, driven by the unified solver
-  // registry: how the offline approximation families compare on the same
-  // live demand ("jms" reproduces the Offline* row for region 0).
-  if (!scenarios.empty()) {
-    std::cout << "\noffline solver frontier (region 0, via solver::solve):\n";
-    std::cout << bench::cell("solver", 24) << bench::cell("#parking", 10)
-              << bench::cell("walking", 10) << bench::cell("space", 10)
-              << bench::cell("total", 10) << '\n';
-    bench::print_rule(64);
-    for (const char* name : {"jms", "jv"}) {
-      const auto res = bench::run_offline_solver(scenarios[0], name);
-      std::cout << bench::cell(res.method, 24)
-                << bench::cell(res.parkings, 10, 1)
-                << bench::cell(res.walking_km, 10, 1)
-                << bench::cell(res.space_km, 10, 1)
-                << bench::cell(res.total_km(), 10, 1) << '\n';
-    }
-    bench::print_rule(64);
-  }
   return 0;
 }

@@ -8,9 +8,9 @@
 #include "geo/geohash.h"
 #include "geo/spatial_index.h"
 #include "ml/factory.h"
+#include "solver/jms_greedy.h"
 #include "solver/meyerson.h"
 #include "solver/online_kmeans.h"
-#include "solver/registry.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -51,9 +51,7 @@ solver::FlInstance scenario_instance(const std::vector<solver::FlClient>& sites,
 
 solver::FlSolution plan(const std::vector<solver::FlClient>& sites,
                         const std::function<double(Point)>& f) {
-  // Routed through the unified entry point; solve("jms") is bit-identical
-  // to calling jms_greedy directly.
-  return solver::solve("jms", scenario_instance(sites, f));
+  return solver::jms_greedy(scenario_instance(sites, f));
 }
 
 std::vector<Point> open_locations(const std::vector<solver::FlClient>& sites,
@@ -129,27 +127,6 @@ MethodResult run_offline_oracle(const PlpScenario& s) {
     walking += geo::distance(open[open_index.nearest(p)], p);
   }
   return {"Offline*", static_cast<double>(sol.num_open()), walking / kKm,
-          sol.opening_cost / kKm};
-}
-
-MethodResult run_offline_solver(const PlpScenario& s,
-                                const std::string& solver_name,
-                                std::uint64_t seed) {
-  solver::SolveOptions options;
-  // Only the randomized solvers consume a seed; validate(name) rejects a
-  // non-default seed for the deterministic ones.
-  if (solver_name == "k_median" || solver_name == "meyerson") {
-    options.seed = seed;
-  }
-  const auto sol = solver::solve(
-      solver_name, scenario_instance(s.live_sites, s.opening_cost), options);
-  const auto open = open_locations(s.live_sites, sol);
-  const geo::SpatialIndex open_index(open);
-  double walking = 0.0;
-  for (Point p : s.live_requests) {
-    walking += geo::distance(open[open_index.nearest(p)], p);
-  }
-  return {solver_name, static_cast<double>(sol.num_open()), walking / kKm,
           sol.opening_cost / kKm};
 }
 

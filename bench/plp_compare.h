@@ -44,12 +44,6 @@ struct MethodResult {
                                                       std::uint64_t seed);
 
 [[nodiscard]] MethodResult run_offline_oracle(const PlpScenario& s);
-/// Offline frontier: solve the live demand with any built-in solver named
-/// by solver::solve ("jms", "jv", "local_search", ...), walking
-/// measured against the raw request stream like run_offline_oracle.
-[[nodiscard]] MethodResult run_offline_solver(const PlpScenario& s,
-                                              const std::string& solver_name,
-                                              std::uint64_t seed = 0);
 [[nodiscard]] MethodResult run_meyerson(const PlpScenario& s, std::uint64_t seed);
 [[nodiscard]] MethodResult run_online_kmeans(const PlpScenario& s,
                                              std::uint64_t seed);

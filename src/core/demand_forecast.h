@@ -12,6 +12,10 @@
 /// cells fall back to their historical mean scaled by the busy cells'
 /// predicted volume trend.
 
+// analyze-ok: reachability no shipped binary calls the per-grid forecast
+// yet; ROADMAP item 8 decides between it and the stream driver's forecast
+// refresh for the daemon's re-plan loop.
+
 #include <cstddef>
 #include <vector>
 

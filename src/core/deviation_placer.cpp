@@ -140,9 +140,7 @@ solver::OnlineDecision DeviationPenaltyPlacer::process(Point dest,
   const double c = weight * geo::distance(stations_[nearest].location, dest);
   const double f = opening_cost_fn_(dest) / reference_f_ * scale_;
   const double prob = std::min(penalty_(deviation(dest)) * c / f, 1.0);
-  const bool allowed =
-      !config_.placement_filter || config_.placement_filter(dest);
-  if (allowed && rng_.bernoulli(prob)) {
+  if (rng_.bernoulli(prob)) {
     stations_.push_back({dest, true, true});
     station_index_.insert(dest);
     decision.opened = true;

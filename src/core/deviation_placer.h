@@ -78,13 +78,6 @@ struct DeviationPlacerConfig {
   /// or the beta*k doubling schedule cannot keep the station count near
   /// the offline k; see bench/plp_compare.cpp.
   double initial_scale_override{0.0};
-  /// Optional regulatory filter: a new parking may only be established at
-  /// points this predicate permits ("many municipalities do not allow
-  /// E-bikes to park uncoordinately at random locations"). Filtered
-  /// requests are always assigned to the nearest existing parking. A
-  /// geo::ZoneSet bound via [zones](geo::Point p){ return zones.permits(p); }
-  /// is the typical source. Null = everywhere allowed.
-  std::function<bool(geo::Point)> placement_filter;
 };
 
 /// One established parking location.

@@ -16,7 +16,7 @@
 /// chunk. parallel_for writes are per-index/per-chunk, and parallel_reduce
 /// combines per-chunk results in ascending chunk order on the calling
 /// thread. Together these make every result bit-identical for every thread
-/// count, which is what lets SolveOptions::num_threads promise "outputs are
+/// count, which is what lets JmsOptions::num_threads promise "outputs are
 /// identical for any value" on top of a dynamic scheduler.
 ///
 /// Scheduling: each worker owns a deque guarded by its own es::Mutex;

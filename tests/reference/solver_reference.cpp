@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "stats/rng.h"
-
 namespace esharing::solver::reference {
 
 namespace {
@@ -38,18 +36,6 @@ double evaluate(const FlInstance& inst,
     for (std::size_t i = 0; i < open.size(); ++i) {
       if (open[i]) best = std::min(best, cost[i][j]);
     }
-    total += best;
-  }
-  return total;
-}
-
-double connection_total(const std::vector<std::vector<double>>& cost,
-                        const std::vector<std::size_t>& open,
-                        std::size_t nc) {
-  double total = 0.0;
-  for (std::size_t j = 0; j < nc; ++j) {
-    double best = kInf;
-    for (std::size_t i : open) best = std::min(best, cost[i][j]);
     total += best;
   }
   return total;
@@ -218,73 +204,6 @@ FlSolution local_search(const FlInstance& instance, const FlSolution& initial,
     if (open[i]) open_set.push_back(i);
   }
   return assign_to_open(instance, open_set);
-}
-
-FlSolution k_median(const FlInstance& instance, std::size_t k,
-                    std::uint64_t seed, const KMedianOptions& options) {
-  instance.validate();
-  const std::size_t nf = instance.facilities.size();
-  const std::size_t nc = instance.clients.size();
-  if (k == 0 || k > nf) {
-    throw std::invalid_argument("k_median: k outside [1, #facilities]");
-  }
-  std::vector<std::vector<double>> cost(nf, std::vector<double>(nc));
-  for (std::size_t i = 0; i < nf; ++i) {
-    for (std::size_t j = 0; j < nc; ++j) {
-      cost[i][j] = instance.connection_cost(i, j);
-    }
-  }
-
-  stats::Rng rng(seed);
-  std::vector<std::size_t> open{rng.index(nf)};
-  std::vector<bool> is_open(nf, false);
-  is_open[open[0]] = true;
-  while (open.size() < k) {
-    double best_gain = -kInf;
-    std::size_t best_i = nf;
-    const double base = connection_total(cost, open, nc);
-    for (std::size_t i = 0; i < nf; ++i) {
-      if (is_open[i]) continue;
-      open.push_back(i);
-      const double gain = base - connection_total(cost, open, nc);
-      open.pop_back();
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_i = i;
-      }
-    }
-    open.push_back(best_i);
-    is_open[best_i] = true;
-  }
-
-  double current = connection_total(cost, open, nc);
-  for (std::size_t round = 0; round < options.max_swap_rounds; ++round) {
-    double best = current;
-    std::size_t best_slot = open.size(), best_in = nf;
-    for (std::size_t slot = 0; slot < open.size(); ++slot) {
-      const std::size_t out = open[slot];
-      for (std::size_t in = 0; in < nf; ++in) {
-        if (is_open[in]) continue;
-        open[slot] = in;
-        const double c = connection_total(cost, open, nc);
-        open[slot] = out;
-        if (c < best - options.min_improvement) {
-          best = c;
-          best_slot = slot;
-          best_in = in;
-        }
-      }
-    }
-    if (best_slot == open.size()) break;
-    is_open[open[best_slot]] = false;
-    is_open[best_in] = true;
-    open[best_slot] = best_in;
-    current = best;
-  }
-
-  FlSolution sol = assign_to_open(instance, open);
-  sol.opening_cost = 0.0;
-  return sol;
 }
 
 }  // namespace esharing::solver::reference

@@ -15,10 +15,7 @@
 /// live under tests/ as the esharing_solver_reference library, which only
 /// the test binary and bench_micro_perf link.
 
-#include <cstdint>
-
 #include "solver/facility_location.h"
-#include "solver/k_median.h"
 #include "solver/local_search.h"
 
 namespace esharing::solver::reference {
@@ -31,10 +28,5 @@ namespace esharing::solver::reference {
 [[nodiscard]] FlSolution local_search(const FlInstance& instance,
                                       const FlSolution& initial,
                                       const LocalSearchOptions& options = {});
-
-/// Pre-refactor k-median (eager dense cost matrix).
-[[nodiscard]] FlSolution k_median(const FlInstance& instance, std::size_t k,
-                                  std::uint64_t seed,
-                                  const KMedianOptions& options = {});
 
 }  // namespace esharing::solver::reference

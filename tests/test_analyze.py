@@ -4,7 +4,7 @@
 Two suites, selectable by class name (this is how CTest invokes them):
 
   python3 test_analyze.py AnalyzeFixtures        per-pass pass/fail trees
-  python3 test_analyze.py AnalyzeProductionTree  all three passes run clean
+  python3 test_analyze.py AnalyzeProductionTree  all four passes run clean
                                                  over the real src/, and a
                                                  mutated serialized field
                                                  fails format-freeze
@@ -13,7 +13,9 @@ AnalyzeFixtures walks tests/lint_fixtures/analyze/<pass>/: every `bad_*`
 tree must be flagged by its pass (exit 1, the rule ids listed in that
 tree's expect.txt present in the output) and every `good_*` tree must come
 back clean (exit 0, no output). Each fixture is a miniature repo — a src/
-subtree plus optional layers.txt / frozen_formats.txt config overrides.
+subtree plus optional layers.txt / frozen_formats.txt config overrides
+(reachability trees also carry the entry-point sources their walk starts
+from: bench/, examples/, perfbench/src/).
 """
 
 import re

@@ -8,7 +8,6 @@
 #include <array>
 
 #include "core/deviation_placer.h"
-#include "geo/polygon.h"
 #include "core/incentive.h"
 #include "energy/charging_cost.h"
 #include "stats/rng.h"
@@ -97,36 +96,6 @@ TEST_P(Table3Pattern, ExpectedPenaltyWins) {
 
 INSTANTIATE_TEST_SUITE_P(UniformPoissonNormal, Table3Pattern,
                          ::testing::Values(0, 1, 2));
-
-TEST(PlacementFilter, ForbiddenZonesNeverGetStations) {
-  // Openings are near-certain (tiny scale) but a no-parking zone covers
-  // the east half of the field: every online station must fall west.
-  geo::ZoneSet zones;
-  zones.add_forbidden(geo::Polygon::rectangle({{500, -1e6}, {1e6, 1e6}}));
-  DeviationPlacerConfig cfg;
-  cfg.tolerance = 1e9;
-  cfg.adaptive_type = false;
-  cfg.ks_period = 0;
-  cfg.w_star_override = 1.0;
-  cfg.initial_scale_multiplier = 1.0;
-  cfg.beta = 1e12;
-  cfg.placement_filter = [&zones](Point p) { return zones.permits(p); };
-  DeviationPenaltyPlacer placer({{0.0, 0.0}}, {}, [](Point) { return 1.0; },
-                                cfg, 3);
-  stats::Rng rng(4);
-  for (const Point p :
-       stats::uniform_points(rng, {{0, 0}, {1000, 1000}}, 400)) {
-    (void)placer.process(p);
-  }
-  EXPECT_GT(placer.num_online_opened(), 10u);  // west half opens freely
-  for (const auto& station : placer.stations()) {
-    if (station.online_opened) {
-      EXPECT_LT(station.location.x, 500.0);
-    }
-  }
-  // East-half requests were all assigned, not opened.
-  EXPECT_GT(placer.total_connection_cost(), 0.0);
-}
 
 TEST(IncentiveBudget, EmptyingAnyPilePaysAtMostAlphaDelta) {
   // Property over random pile sizes: draining station i completely pays

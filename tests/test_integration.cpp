@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/deviation_placer.h"
-#include "core/daytype_router.h"
 #include "core/demand_forecast.h"
 #include "core/esharing.h"
 #include "data/binning.h"
@@ -226,9 +225,10 @@ TEST(Integration, ForecastDrivenPlanningServesNextDay) {
   EXPECT_LT(walking / static_cast<double>(served), 300.0);
 }
 
-/// Day-type routing end to end: weekday and weekend offline plans built
+/// Day-type plans end to end: weekday and weekend offline plans built
 /// from their own day-type histories serve live requests routed by the
-/// calendar, and each placer only ever sees its own day type.
+/// calendar to one placer per day type, and each placer only ever sees
+/// its own day type.
 TEST(Integration, DayTypeRoutedPlansOnCityData) {
   data::CityConfig ccfg;
   ccfg.num_days = 14;
@@ -270,17 +270,22 @@ TEST(Integration, DayTypeRoutedPlansOnCityData) {
 
   core::DeviationPlacerConfig cfg;
   cfg.ks_period = 200;
-  core::DayTypeRouter router(wd_landmarks, wd_sample, we_landmarks, we_sample,
-                             [](Point) { return 10000.0; }, cfg, 9);
+  const auto flat_cost = [](Point) { return 10000.0; };
+  core::DeviationPenaltyPlacer weekday(wd_landmarks, wd_sample, flat_cost, cfg,
+                                       9 ^ 0x77eeda1ULL);
+  core::DeviationPenaltyPlacer weekend(we_landmarks, we_sample, flat_cost, cfg,
+                                       9 ^ 0x77ee2e2dULL);
   const auto live = city.generate_trips();
   std::size_t weekend_requests = 0;
   for (const auto& trip : live) {
-    (void)router.process(trip.start_time, city.end_point(trip));
-    weekend_requests += data::is_weekend(trip.start_time) ? 1 : 0;
+    const bool on_weekend = data::is_weekend(trip.start_time);
+    (void)(on_weekend ? weekend : weekday).process(city.end_point(trip));
+    weekend_requests += on_weekend ? 1 : 0;
   }
-  EXPECT_EQ(router.weekend().requests_seen(), weekend_requests);
-  EXPECT_EQ(router.weekday().requests_seen(), live.size() - weekend_requests);
-  EXPECT_GT(router.total_connection_cost(), 0.0);
+  EXPECT_EQ(weekend.requests_seen(), weekend_requests);
+  EXPECT_EQ(weekday.requests_seen(), live.size() - weekend_requests);
+  EXPECT_GT(weekday.total_connection_cost() + weekend.total_connection_cost(),
+            0.0);
 }
 
 /// Full pipeline smoke: city -> CSV round trip -> binning -> offline plan ->

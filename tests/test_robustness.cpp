@@ -13,7 +13,6 @@
 #include "data/csv.h"
 #include "geo/geohash.h"
 #include "geo/grid.h"
-#include "geo/polygon.h"
 #include "sim/event_engine.h"
 #include "solver/tsp.h"
 #include "stats/rng.h"
@@ -83,26 +82,6 @@ TEST(Robustness, RandomGridsRoundTripEveryCell) {
       const auto c = grid.cell_at(i);
       EXPECT_EQ(grid.index_of(c), i);
       EXPECT_EQ(grid.clamped_cell_of(grid.centroid_of(c)), c);
-    }
-  }
-}
-
-TEST(Robustness, ConvexHullContainsStrictInteriorSamples) {
-  stats::Rng rng(4);
-  for (int trial = 0; trial < 15; ++trial) {
-    const auto pts =
-        stats::uniform_points(rng, {{0, 0}, {1000, 1000}}, 8 + rng.index(40));
-    geo::Polygon hull = geo::convex_hull(pts);
-    // Random convex combinations of input points are inside (shrunk a hair
-    // to dodge boundary ambiguity).
-    const Point c = geo::centroid(pts);
-    for (int s = 0; s < 50; ++s) {
-      const Point a = pts[rng.index(pts.size())];
-      const Point b = pts[rng.index(pts.size())];
-      const double t = rng.uniform(0.0, 1.0);
-      const Point mix{a.x * t + b.x * (1 - t), a.y * t + b.y * (1 - t)};
-      const Point inner{c.x + 0.98 * (mix.x - c.x), c.y + 0.98 * (mix.y - c.y)};
-      EXPECT_TRUE(hull.contains(inner));
     }
   }
 }

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "solver/exact.h"
+#include "exact.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -115,7 +115,7 @@ TEST_P(JmsApproximationRatio, WithinFactorOfExactOptimum) {
   }
   const auto inst = colocated_instance(clients, costs);
   const auto greedy = jms_greedy(inst);
-  const auto exact = exact_facility_location(inst);
+  const auto exact = reference::exact_facility_location(inst);
   EXPECT_LE(greedy.total_cost(), 1.62 * exact.total_cost())
       << "greedy=" << greedy.total_cost() << " exact=" << exact.total_cost();
   EXPECT_GE(greedy.total_cost(), exact.total_cost() - 1e-9);

@@ -4,8 +4,8 @@
 
 #include <stdexcept>
 
-#include "solver/exact.h"
 #include "solver/jms_greedy.h"
+#include "exact.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -71,7 +71,7 @@ TEST_P(LocalSearchQuality, WithinFactor3OfExactOptimum) {
   const std::size_t n = 6 + rng.index(7);
   const auto inst = random_instance(GetParam() ^ 0xf00dULL, n);
   const auto ls = local_search_from_scratch(inst);
-  const auto best = exact_facility_location(inst);
+  const auto best = reference::exact_facility_location(inst);
   EXPECT_LE(ls.total_cost(), 3.0 * best.total_cost() + 1e-9);
   EXPECT_GE(ls.total_cost(), best.total_cost() - 1e-9);
 }

@@ -13,7 +13,6 @@
 #include "solver/cost_oracle.h"
 #include "solver/instance_delta.h"
 #include "solver/jms_greedy.h"
-#include "solver/k_median.h"
 #include "solver/local_search.h"
 #include "solver/reopt.h"
 #include "solver_reference.h"
@@ -378,16 +377,6 @@ TEST(SolverRegression, SolversAreMetricsInvariant) {
 
   expect_identical(jms_on, jms_off);
   expect_identical(ls_on, ls_off);
-}
-
-TEST(SolverRegression, KMedianMatchesReference) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    stats::Rng rng(seed * 7);
-    const auto inst = random_general(rng, 50, 22);
-    for (std::size_t k : {1u, 4u, 9u}) {
-      expect_identical(k_median(inst, k, seed), reference::k_median(inst, k, seed));
-    }
-  }
 }
 
 }  // namespace

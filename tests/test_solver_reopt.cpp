@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -13,7 +12,6 @@
 #include "solver/instance_delta.h"
 #include "solver/jms_greedy.h"
 #include "solver/local_search.h"
-#include "solver/registry.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -365,98 +363,18 @@ TEST(ReoptWarmStart, SeededJmsIsValidAndRejectsBadSeeds) {
                std::invalid_argument);
 }
 
-TEST(ReoptWarmStart, RegistryWarmStartRoutesToBothWarmPaths) {
+TEST(ReoptWarmStart, WarmJmsAndLocalSearchResumeFromColdPlan) {
   stats::Rng rng(43);
   const auto inst = random_instance(rng, 40, 16);
-  const auto cold = solve("jms", inst);
+  const CostOracle oracle(inst);
+  const auto cold = jms_greedy(oracle, {});
 
-  SolveOptions opt;
-  opt.warm_start = &cold;
-  const auto warm_jms = solve("jms", inst, opt);
+  const auto warm_jms = jms_greedy_warm(oracle, cold.open, {});
   ASSERT_EQ(warm_jms.assignment.size(), inst.clients.size());
 
-  const auto polished = solve("local_search", inst, opt);
+  const auto polished = local_search(inst, cold);
   // local_search resuming from a solution is never worse than it.
   EXPECT_LE(polished.total_cost(), cold.total_cost());
-}
-
-// ---------------------------------------------------------------------------
-// SolveOptions::validate — one test per rejection rule.
-// ---------------------------------------------------------------------------
-
-TEST(ReoptValidateOptions, RejectsKForSolversWithoutABudget) {
-  SolveOptions opt;
-  opt.k = 4;
-  try {
-    opt.validate("jms");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("jms"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("k"), std::string::npos);
-  }
-}
-
-TEST(ReoptValidateOptions, RejectsSeedForDeterministicSolvers) {
-  SolveOptions opt;
-  opt.seed = 7;
-  EXPECT_THROW(opt.validate("jv"), std::invalid_argument);
-  EXPECT_NO_THROW(opt.validate("meyerson"));
-  opt.k = 2;  // k_median consumes the seed but also demands a budget
-  EXPECT_NO_THROW(opt.validate("k_median"));
-}
-
-TEST(ReoptValidateOptions, RejectsThreadLanesForSequentialSolvers) {
-  SolveOptions opt;
-  opt.num_threads = 4;
-  EXPECT_THROW(opt.validate("exact"), std::invalid_argument);
-  EXPECT_NO_THROW(opt.validate("jms"));
-  EXPECT_NO_THROW(opt.validate("local_search"));
-}
-
-TEST(ReoptValidateOptions, RejectsLocalSearchKnobsElsewhere) {
-  SolveOptions opt;
-  opt.max_iterations = 5;
-  EXPECT_THROW(opt.validate("jms"), std::invalid_argument);
-  opt = {};
-  opt.allow_swaps = false;
-  EXPECT_THROW(opt.validate("meyerson"), std::invalid_argument);
-}
-
-TEST(ReoptValidateOptions, RejectsMissingKAndZeroIterations) {
-  SolveOptions opt;  // k == 0
-  try {
-    opt.validate("k_median");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("k"), std::string::npos);
-  }
-  opt = {};
-  opt.max_iterations = 0;
-  EXPECT_THROW(opt.validate("local_search"), std::invalid_argument);
-}
-
-TEST(ReoptValidateOptions, RejectsWarmStartWithoutAWarmPath) {
-  stats::Rng rng(47);
-  const auto inst = random_instance(rng, 10, 5);
-  const auto sol = jms_greedy(CostOracle(inst), {});
-  SolveOptions opt;
-  opt.warm_start = &sol;
-  EXPECT_THROW(opt.validate("jv"), std::invalid_argument);
-  EXPECT_THROW(opt.validate("exact"), std::invalid_argument);
-  EXPECT_NO_THROW(opt.validate("jms"));
-  EXPECT_NO_THROW(opt.validate("local_search"));
-}
-
-TEST(ReoptValidateOptions, UnknownNamesPassAndSolveStillValidates) {
-  // The registry cannot know a user-registered solver's contract.
-  SolveOptions opt;
-  opt.k = 3;
-  opt.seed = 1;
-  EXPECT_NO_THROW(opt.validate("my_custom_solver"));
-  // But solve() on a builtin rejects before dispatch.
-  stats::Rng rng(53);
-  const auto inst = random_instance(rng, 8, 4);
-  EXPECT_THROW((void)solve("jms", inst, opt), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Whole-project contract analyzer: lock order, module layering, frozen formats.
+"""Whole-project contract analyzer: lock order, layering, formats, reachability.
 
 Dependency-free (stdlib only), same contract as tools/lint/lint.py: findings
 print as `path:line: [rule-id] message`, exit 0 clean / 1 findings / 2 usage.
-Three passes, each independently runnable with --pass (see DESIGN.md "Static
+Four passes, each independently runnable with --pass (see DESIGN.md "Static
 analysis & determinism contracts"):
 
   lock-order      parse es::Mutex / ES_GUARDED_BY / LockGuard / UniqueLock
@@ -29,6 +29,12 @@ analysis & determinism contracts"):
                   format edit forces an explicit digest refresh — and a
                   version-constant bump when the byte layout changed — in the
                   same diff.  `--update` regenerates the frozen file.
+  reachability    walk the quoted-include graph from the shipped binaries'
+                  sources (src/serve/serve_main.cpp, perfbench/src, bench,
+                  examples, tools/flightq), a reached header also reaching
+                  its same-stem .cpp, and flag every src/ header the walk
+                  never reaches (reachability).  A header waives itself
+                  with `analyze-ok: reachability <reason>` anywhere in it.
 
 The lock-order pass is intentionally an over-approximation: inter-procedural
 edges flow through a name-merged call graph (methods with the same unqualified
@@ -982,6 +988,67 @@ def format_freeze_pass(root: Path, formats_path: Path) -> list:
 
 
 # ==========================================================================
+# Pass 4: reachability
+#
+# A src/ module earns its place only if a shipped binary uses it.  The walk
+# starts at the binaries' own sources, follows quoted includes (resolved
+# against the including file's directory, then src/, then the repo root,
+# as the CMake include paths do), and treats a reached header as reaching
+# its same-stem .cpp, since that is where the header's code is linked from.
+# Quoted includes that resolve nowhere (third-party or test-only headers)
+# are skipped.
+# ==========================================================================
+
+REACH_ENTRY_GLOBS = ("src/serve/serve_main.cpp", "perfbench/src/*.cpp",
+                     "bench/*.cpp", "examples/*.cpp", "tools/flightq/*.cpp")
+
+
+def resolve_include(root: Path, including: Path, inc: str) -> Path | None:
+    for base in (including.parent, root / "src", root):
+        candidate = (base / inc).resolve()
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def reached_files(root: Path) -> set:
+    todo = [p.resolve() for pattern in REACH_ENTRY_GLOBS
+            for p in sorted(root.glob(pattern)) if p.is_file()]
+    seen = set(todo)
+    while todo:
+        path = todo.pop()
+        code = strip_comments(path.read_text(), strip_strings=False)
+        found = [resolve_include(root, path, m.group(1))
+                 for m in INCLUDE_RE.finditer(code)]
+        if path.suffix == ".h":
+            found.append(path.with_suffix(".cpp"))
+        for target in found:
+            if target is not None and target.is_file() and target not in seen:
+                seen.add(target)
+                todo.append(target)
+    return seen
+
+
+def reachability_pass(root: Path) -> list:
+    findings = []
+    reached = reached_files(root)
+    for path in src_files(root):
+        if path.suffix != ".h" or path.resolve() in reached:
+            continue
+        lines = path.read_text().splitlines()
+        if not any(waived(lines, n, "reachability")
+                   for n in range(1, len(lines) + 1)):
+            rel = path.relative_to(root).as_posix()
+            findings.append(Finding(
+                path, 1, "reachability",
+                f"{rel} is not reached from any shipped entry point "
+                "(serve_main, perfbench, bench, examples, flightq): delete "
+                "it with its tests, move a test oracle to tests/reference/, "
+                "or waive it with `analyze-ok: reachability <reason>`"))
+    return findings
+
+
+# ==========================================================================
 # Driver
 # ==========================================================================
 
@@ -991,6 +1058,8 @@ PASSES = {
     "layering": "module include DAG matches tools/analyze/layering.txt",
     "format-freeze": "serialized layouts match tools/lint/"
                      "frozen_formats.txt",
+    "reachability": "every src/ header is included, transitively, by a "
+                    "shipped binary's sources",
 }
 
 
@@ -1038,6 +1107,8 @@ def main(argv) -> int:
         findings.extend(layering_pass(root, layers_path))
     if "format-freeze" in passes:
         findings.extend(format_freeze_pass(root, formats_path))
+    if "reachability" in passes:
+        findings.extend(reachability_pass(root))
 
     if args.json:
         print(json.dumps(
