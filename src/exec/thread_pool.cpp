@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <latch>
 #include <stdexcept>
 #include <utility>
 
@@ -163,53 +164,56 @@ void ThreadPool::parallel_for(
     return;
   }
 
+  // The region's shared state lives on this frame: the caller returns only
+  // after every runner has counted down `done`, and a runner touches
+  // nothing after that (its closure holds only the pointer).
   struct State {
+    explicit State(std::size_t runners)
+        : done(static_cast<std::ptrdiff_t>(runners)) {}
+
+    std::size_t n{0};
+    std::size_t g{1};
+    std::size_t nchunks{0};
+    const std::function<void(std::size_t, std::size_t, std::size_t)>* fn{
+        nullptr};
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> live{0};  ///< submitted runner tasks in flight
+    std::latch done;  ///< one count per runner task
     es::Mutex mu;
-    es::CondVar done;
     std::exception_ptr error ES_GUARDED_BY(mu);
-  };
-  auto state = std::make_shared<State>();
-  auto run_lane = [this, n, g, nchunks, &fn, state_raw = state.get()] {
-    while (true) {
-      const std::size_t c =
-          state_raw->cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= nchunks) break;
-      const std::size_t b = c * g;
-      try {
-        fn(b, std::min(n, b + g), c);
-      } catch (...) {
-        const es::LockGuard lock(state_raw->mu);
-        if (!state_raw->error) state_raw->error = std::current_exception();
+
+    void run_lane() {
+      while (true) {
+        const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (c >= nchunks) break;
+        const std::size_t b = c * g;
+        try {
+          (*fn)(b, std::min(n, b + g), c);
+        } catch (...) {
+          const es::LockGuard lock(mu);
+          if (!error) error = std::current_exception();
+        }
       }
     }
-    static_cast<void>(this);
   };
 
   // lanes - 1 runners on the pool; the caller is lane 0 and claims chunks
   // from the same cursor, so it always contributes instead of just waiting.
   const std::size_t runners = lanes - 1;
-  state->live.store(runners, std::memory_order_relaxed);
+  State state(runners);
+  state.n = n;
+  state.g = g;
+  state.nchunks = nchunks;
+  state.fn = &fn;
   for (std::size_t r = 0; r < runners; ++r) {
-    submit([state, run_lane] {
-      run_lane();
-      if (state->live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        {
-          const es::LockGuard lock(state->mu);
-        }
-        state->done.notify_all();
-      }
+    submit([s = &state] {
+      s->run_lane();
+      s->done.count_down();
     });
   }
-  run_lane();
-  {
-    es::UniqueLock lock(state->mu);
-    while (state->live.load(std::memory_order_acquire) != 0) {
-      state->done.wait(lock);
-    }
-    if (state->error) std::rethrow_exception(state->error);
-  }
+  state.run_lane();
+  state.done.wait();
+  const es::LockGuard lock(state.mu);
+  if (state.error) std::rethrow_exception(state.error);
 }
 
 std::size_t width_from_env_value(const char* value, std::size_t fallback) {

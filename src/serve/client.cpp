@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,6 +33,10 @@ ServeClient ServeClient::connect(std::uint16_t port) {
                              std::to_string(port) + ": " +
                              std::strerror(err));
   }
+  // Requests are small frames: send each at once, not when Nagle sees the
+  // ACK of the previous one.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return ServeClient(fd);
 }
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -69,7 +70,6 @@ void ServeConfig::validate() const {
                                 " but must be >= 1");
   }
   pipeline.validate();
-  tunables.validate();
 }
 
 // --- Connection ------------------------------------------------------------
@@ -85,6 +85,20 @@ bool ServeDaemon::Connection::send(const std::string& payload) {
   } catch (const std::exception&) {
     broken = true;
   }
+  return !broken;
+}
+
+bool ServeDaemon::Connection::flush_round() {
+  const es::LockGuard lock(write_mu);
+  try {
+    // analyze-ok: blocking-under-lock write_mu serializes whole frames onto one socket; a slow client stalls only its own connection
+    if (!broken && !write_all(fd, round_out.data(), round_out.size())) {
+      broken = true;
+    }
+  } catch (const std::exception&) {
+    broken = true;
+  }
+  round_out.clear();
   return !broken;
 }
 
@@ -167,8 +181,11 @@ void ServeDaemon::request_stop() {
   // read_frame; half-close keeps the write sides alive so in-flight decide
   // responses still go out during the drain.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  const es::LockGuard lock(conn_mu_);
-  for (const auto& conn : conns_) conn->shutdown_read();
+  {
+    const es::LockGuard lock(conn_mu_);
+    for (const auto& conn : conns_) conn->shutdown_read();
+  }
+  pipeline_.bus().poke();  // the pump may be asleep on an empty bus
 }
 
 void ServeDaemon::wait() {
@@ -229,6 +246,10 @@ void ServeDaemon::accept_loop() {
     if (ready <= 0) continue;  // timeout or EINTR: recheck the stop flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;  // raced with shutdown or transient accept error
+    // Replies are small frames written once per pump round: send each at
+    // once instead of letting Nagle hold it for the client's next ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) metrics().connections.add(1);
     auto conn = std::make_shared<Connection>(fd);
@@ -241,6 +262,7 @@ void ServeDaemon::accept_loop() {
                                  std::move(conn));
   }
   accept_done_.store(true, std::memory_order_release);
+  pipeline_.bus().poke();
 }
 
 void ServeDaemon::reader_loop(std::shared_ptr<Connection> conn) {
@@ -264,6 +286,7 @@ void ServeDaemon::reader_loop(std::shared_ptr<Connection> conn) {
     }
   }
   active_readers_.fetch_sub(1, std::memory_order_acq_rel);
+  pipeline_.bus().poke();  // the last reader out may complete the drain
 }
 
 void ServeDaemon::handle_message(const std::shared_ptr<Connection>& conn,
@@ -317,13 +340,6 @@ void ServeDaemon::handle_message(const std::shared_ptr<Connection>& conn,
       conn->send(encode_status_reply(status()));
       return;
     case MsgType::kReloadTunables: {
-      try {
-        msg.tunables.validate();
-      } catch (const std::exception& ex) {
-        conn->send(encode_error(std::string("tunables rejected: ") +
-                                ex.what()));
-        return;
-      }
       {
         const es::LockGuard lock(tunables_mu_);
         tunables_ = msg.tunables;
@@ -351,6 +367,7 @@ void ServeDaemon::handle_message(const std::shared_ptr<Connection>& conn,
         before_fail = checkpoint_failures_;
       }
       checkpoint_requested_.store(true, std::memory_order_release);
+      pipeline_.bus().poke();
       bool ok = false;
       {
         es::UniqueLock lock(ckpt_mu_);
@@ -400,11 +417,15 @@ void ServeDaemon::publish_gate_enter() {
 }
 
 void ServeDaemon::publish_gate_exit() {
+  bool paused = false;
   {
     const es::LockGuard lock(gate_mu_);
     --in_flight_publishes_;
+    paused = gate_paused_;
   }
-  gate_cv_.notify_all();
+  // A checkpoint waiting out in-flight publishes sleeps on the bus. One
+  // that pauses the gate after this decrement reads the new count itself.
+  if (paused) pipeline_.bus().poke();
 }
 
 void ServeDaemon::on_decision(const stream::Event& e,
@@ -431,19 +452,30 @@ void ServeDaemon::on_decision(const stream::Event& e,
   reply.opened = d.opened;
   reply.facility = static_cast<std::uint64_t>(d.facility);
   reply.connection_cost = d.connection_cost;
-  pending.conn->send(encode_decision(reply));
+  // Queue the reply; pump_counted writes each connection's replies of the
+  // round in one go once the round is done.
+  Connection& conn = *pending.conn;
+  if (conn.round_out.empty()) round_conns_.push_back(std::move(pending.conn));
+  append_frame(conn.round_out, encode_decision(reply));
 }
 
 std::size_t ServeDaemon::pump_counted() {
-  const es::LockGuard lock(pump_mu_);
-  const std::size_t n = pipeline_.pump_decisions(
-      [this](const stream::Event& e, const solver::OnlineDecision& d) {
-        on_decision(e, d);
-      });
-  if (n > 0) {
-    events_consumed_.fetch_add(n, std::memory_order_relaxed);
-    consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
+  std::size_t n = 0;
+  {
+    const es::LockGuard lock(pump_mu_);
+    n = pipeline_.pump_decisions(
+        [this](const stream::Event& e, const solver::OnlineDecision& d) {
+          on_decision(e, d);
+        });
+    if (n > 0) {
+      events_consumed_.fetch_add(n, std::memory_order_relaxed);
+      consumed_since_checkpoint_.fetch_add(n, std::memory_order_relaxed);
+    }
   }
+  // Replies go out after the round is counted, so a status request sent
+  // after a reply arrives always sees that reply's event consumed.
+  for (const auto& conn : round_conns_) conn->flush_round();
+  round_conns_.clear();
   return n;
 }
 
@@ -451,9 +483,20 @@ bool ServeDaemon::do_checkpoint() {
   // Quiesce publishers, then pump the queues dry: save_checkpoint's
   // queues-drained contract (checkpoint.h) demands an empty bus.
   {
-    es::UniqueLock lock(gate_mu_);
+    const es::LockGuard lock(gate_mu_);
     gate_paused_ = true;
-    while (in_flight_publishes_ > 0) gate_cv_.wait(lock);
+  }
+  // Keep pumping while in-flight publishes finish: a publish blocked on a
+  // full ring only returns once this thread drains it. The paused gate
+  // admits no new publish, so the in-flight count only falls. Between
+  // empty rounds, sleep on the bus: publish_gate_exit pokes it.
+  for (;;) {
+    const std::uint32_t seen = pipeline_.bus().activity();
+    {
+      const es::LockGuard lock(gate_mu_);
+      if (in_flight_publishes_ == 0) break;
+    }
+    if (pump_counted() == 0) pipeline_.bus().wait_activity(seen);
   }
   while (pump_counted() > 0) {
     // until the queues are dry
@@ -488,6 +531,10 @@ bool ServeDaemon::do_checkpoint() {
 
 void ServeDaemon::pump_loop() {
   for (;;) {
+    // Read the activity counter before the round: anything published, or
+    // any stop/checkpoint request made, after this read wakes the wait
+    // below even if the round missed it.
+    const std::uint32_t seen = pipeline_.bus().activity();
     const std::size_t n = pump_counted();
     const ServeTunables t = tunables();
     const bool has_path = !config_.checkpoint_path.empty();
@@ -509,8 +556,7 @@ void ServeDaemon::pump_loop() {
       if (pump_counted() == 0) break;
       continue;
     }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(t.pump_idle_micros));
+    pipeline_.bus().wait_activity(seen);
   }
   // The bus is lossless and the confirming pump found it dry, so every
   // published decide has been answered. The sweep stays as a guard: any

@@ -127,12 +127,18 @@ class ServeDaemon {
     /// gone. Serialized by `write_mu` so reader-thread acks and pump-thread
     /// decisions never interleave mid-frame.
     bool send(const std::string& payload);
+    /// Write the frames queued in `round_out` with one write, then clear
+    /// it. Pump thread only; returns false once the peer is gone.
+    bool flush_round();
     /// Half-close the read side to pop the reader out of read_frame.
     void shutdown_read();
 
     const int fd;
     es::Mutex write_mu;
     bool broken ES_GUARDED_BY(write_mu){false};
+    /// Decision frames of the current pump round, not yet written. Touched
+    /// by the pump thread only.
+    std::string round_out;
   };
 
   struct PendingDecide {
@@ -152,8 +158,10 @@ class ServeDaemon {
   /// Pause publishers, pump the queues dry, save crash-atomically, resume.
   /// Runs on the pump thread only. Returns false when saving failed.
   bool do_checkpoint();
-  /// One Pipeline::pump_decisions call under pump_mu_, with the consumed
-  /// events counted before the lock is released. Pump thread only.
+  /// One Pipeline::pump_decisions round under pump_mu_, with the consumed
+  /// events counted before the lock is released; then each connection
+  /// answered in the round gets its replies in one write. Pump thread
+  /// only. Returns the events consumed (0 = the bus was empty).
   std::size_t pump_counted();
   void on_decision(const stream::Event& e, const solver::OnlineDecision& d);
   void set_state(DaemonState s);
@@ -213,6 +221,9 @@ class ServeDaemon {
   std::atomic<std::uint64_t> reloads_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> consumed_since_checkpoint_{0};
+  /// Connections with replies queued in the current round (pump thread
+  /// only; kept across rounds so its capacity is reused).
+  std::vector<std::shared_ptr<Connection>> round_conns_;
 };
 
 }  // namespace esharing::serve

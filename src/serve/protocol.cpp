@@ -98,17 +98,6 @@ const char* daemon_state_name(DaemonState s) {
   return "unknown";
 }
 
-void ServeTunables::validate() const {
-  if (pump_idle_micros < 1 || pump_idle_micros > 1'000'000) {
-    throw std::invalid_argument(
-        "ServeTunables: pump_idle_micros is " +
-        std::to_string(pump_idle_micros) +
-        " but must be in [1, 1000000] — 0 would spin a core, more than a "
-        "second would stall the decide path");
-  }
-  // checkpoint_every_events: every value is legal (0 = shutdown-only).
-}
-
 std::string encode_ping() { return type_only(MsgType::kPing); }
 std::string encode_scrape_metrics() { return type_only(MsgType::kScrapeMetrics); }
 std::string encode_status() { return type_only(MsgType::kStatus); }
@@ -132,7 +121,6 @@ std::string encode_decide(const stream::Event& event) {
 std::string encode_reload_tunables(const ServeTunables& t) {
   std::ostringstream os;
   wire::write_u64(os, t.checkpoint_every_events);
-  wire::write_u64(os, t.pump_idle_micros);
   return with_type(MsgType::kReloadTunables, os.str());
 }
 
@@ -206,7 +194,6 @@ Message decode_message(const std::string& payload) {
     case static_cast<std::uint8_t>(MsgType::kReloadTunables):
       m.type = MsgType::kReloadTunables;
       m.tunables.checkpoint_every_events = wire::read_u64(is);
-      m.tunables.pump_idle_micros = wire::read_u64(is);
       break;
     case static_cast<std::uint8_t>(MsgType::kPublishAck):
       m.type = MsgType::kPublishAck;
@@ -265,21 +252,6 @@ namespace {
          err == ENOTCONN || err == ESHUTDOWN;
 }
 
-bool write_all(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (peer_gone(errno)) return false;
-      throw std::runtime_error(std::string("serve protocol: write failed: ") +
-                               std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 /// 0 = clean EOF before any byte, 1 = all read; throws on a torn read.
 int read_all(int fd, char* data, std::size_t n) {
   std::size_t off = 0;
@@ -306,24 +278,41 @@ int read_all(int fd, char* data, std::size_t n) {
 
 }  // namespace
 
-bool write_frame(int fd, const std::string& payload) {
+void append_frame(std::string& out, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) {
     throw std::invalid_argument("serve protocol: frame of " +
                                 std::to_string(payload.size()) +
                                 " bytes exceeds kMaxFrameBytes");
   }
   const auto len = static_cast<std::uint32_t>(payload.size());
-  char prefix[4];
   for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<char>((len >> (8 * i)) & 0xffU);
+    out.push_back(static_cast<char>((len >> (8 * i)) & 0xffU));
   }
+  out += payload;
+}
+
+bool write_all(int fd, const char* data, std::size_t n) {
+  std::size_t off = 0;
+  while (off < n) {
+    const ssize_t w = ::write(fd, data + off, n - off);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      if (peer_gone(errno)) return false;
+      throw std::runtime_error(std::string("serve protocol: write failed: ") +
+                               std::strerror(errno));
+    }
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+bool write_frame(int fd, const std::string& payload) {
   // One assembled buffer per frame: a single write keeps frames contiguous
   // even when several daemon threads answer on the same connection (each
   // holds the connection's write mutex around this call).
   std::string buf;
   buf.reserve(4 + payload.size());
-  buf.append(prefix, 4);
-  buf += payload;
+  append_frame(buf, payload);
   return write_all(fd, buf.data(), buf.size());
 }
 

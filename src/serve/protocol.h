@@ -33,7 +33,7 @@ namespace esharing::serve {
 /// values, or a payload's field order must bump this constant and refresh
 /// tools/lint/frozen_formats.txt in the same diff (enforced by the
 /// format-freeze pass of tools/analyze/analyze.py).
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Hard cap on a frame payload; a length prefix beyond this is treated as
 /// protocol corruption, not an allocation request.
@@ -46,7 +46,7 @@ enum class MsgType : std::uint8_t {
   kDecide = 3,          ///< one trip-end request -> kDecision (seq order)
   kScrapeMetrics = 4,   ///< obs registry snapshot -> kMetricsJson
   kStatus = 5,          ///< lifecycle + counters -> kStatusReply
-  kReloadTunables = 6,  ///< hot config reload -> kOk or kError
+  kReloadTunables = 6,  ///< hot config reload -> kOk
   kCheckpointNow = 7,   ///< force a checkpoint -> kOk or kError
   kShutdown = 8,        ///< graceful drain-then-checkpoint stop -> kOk
   // Responses.
@@ -71,17 +71,11 @@ enum class DaemonState : std::uint8_t {
 [[nodiscard]] const char* daemon_state_name(DaemonState s);
 
 /// The hot-reloadable subset of the daemon's configuration. Reloads arrive
-/// over the protocol (kReloadTunables), pass validate() before being
-/// applied, and are rejected wholesale with kError when invalid — the
-/// running configuration is never half-updated.
+/// over the protocol (kReloadTunables) and replace the running tunables
+/// whole. Every value of every field is legal.
 struct ServeTunables {
   /// Checkpoint after this many consumed events (0 = only at shutdown).
   std::uint64_t checkpoint_every_events{0};
-  /// Pump-loop sleep when a round drains nothing, in microseconds.
-  std::uint64_t pump_idle_micros{200};
-
-  /// \throws std::invalid_argument on the first violated constraint.
-  void validate() const;
 };
 
 /// Tier-one answer sent back on the decide path. `ref` echoes the value the
@@ -139,6 +133,16 @@ struct Message {
 [[nodiscard]] Message decode_message(const std::string& payload);
 
 // --- frame I/O over file descriptors --------------------------------------
+
+/// Append `payload` to `out` as one frame (u32 length prefix + bytes), so
+/// several frames can go out in one write_all.
+/// \throws std::invalid_argument when payload exceeds kMaxFrameBytes.
+void append_frame(std::string& out, const std::string& payload);
+
+/// Write all `n` bytes, looping over partial writes. Returns false when the
+/// peer is gone (EPIPE/ECONNRESET);
+/// \throws std::runtime_error on other I/O errors.
+bool write_all(int fd, const char* data, std::size_t n);
 
 /// Write `payload` as one frame (u32 length prefix + bytes), looping over
 /// partial writes. Returns false when the peer is gone (EPIPE/ECONNRESET);

@@ -161,9 +161,10 @@ std::size_t OnlinePlacerDriver::consume_batch(
     std::vector<solver::OnlineDecision>* decisions_out) {
   if (events.empty()) return 0;
   const std::size_t num_shards = states_.size();
-  // Scratch reused across segments: each shard's FIFO subsequence of the
-  // current segment.
-  std::vector<std::vector<Event>> per_shard(num_shards);
+  // Scratch reused across segments and calls: each shard's FIFO
+  // subsequence of the current segment.
+  auto& per_shard = per_shard_;
+  per_shard.resize(num_shards);
 
   std::size_t begin = 0;
   while (begin < events.size()) {
@@ -184,23 +185,29 @@ std::size_t OnlinePlacerDriver::consume_batch(
     }
 
     for (auto& bucket : per_shard) bucket.clear();
+    std::size_t busy = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      per_shard[bus_->shard_of(events[i].where)].push_back(events[i]);
+      auto& bucket = per_shard[bus_->shard_of(events[i].where)];
+      if (bucket.empty()) ++busy;
+      bucket.push_back(events[i]);
     }
     // Shard stage: each lane folds whole shards; grain 1 keeps one shard
     // per chunk. Bit-identical at any width because ingest_shard touches
     // only its own shard's state and the fold order within a shard is its
-    // FIFO order either way.
-    exec::parallel_for(
-        num_shards, /*grain=*/1,
-        [&](std::size_t first, std::size_t last, std::size_t) {
-          for (std::size_t s = first; s < last; ++s) {
-            if (!per_shard[s].empty()) {
-              ingest_shard(s, per_shard[s].data(), per_shard[s].size());
-            }
-          }
-        },
-        lanes);
+    // FIFO order either way — which is also why a segment touching one
+    // shard can fold it inline without waking the pool.
+    const auto fold = [&](std::size_t first, std::size_t last, std::size_t) {
+      for (std::size_t s = first; s < last; ++s) {
+        if (!per_shard[s].empty()) {
+          ingest_shard(s, per_shard[s].data(), per_shard[s].size());
+        }
+      }
+    };
+    if (busy <= 1) {
+      fold(0, num_shards, 0);
+    } else {
+      exec::parallel_for(num_shards, /*grain=*/1, fold, lanes);
+    }
     // Decision stage: sequential, in merged seq order.
     for (std::size_t i = begin; i < end; ++i) {
       auto decision = decide(events[i]);

@@ -157,6 +157,9 @@ class OnlinePlacerDriver {
   std::vector<StreamState> states_;
   std::vector<ShardRegime> regimes_;
   std::vector<std::vector<geo::Point>> shard_history_;
+  /// consume_batch scratch (one FIFO bucket per shard), kept across calls
+  /// so a steady-state batch allocates nothing.
+  std::vector<std::vector<Event>> per_shard_;
   std::uint64_t consumed_{0};
   std::uint64_t last_seq_{0};
   std::uint64_t trip_ends_total_{0};

@@ -100,58 +100,81 @@ std::size_t EventBus::publish_batch(std::span<const Event> events) {
   const std::uint64_t base =
       next_seq_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
-
-  // Counting scatter: stamp seqs in span order and lay each shard's
-  // sub-batch out contiguously (relative order preserved) so the lock
-  // below is taken once per touched shard, not once per event.
   const std::size_t num_shards = shards_.size();
-  std::vector<std::size_t> dest(n);
-  std::vector<std::size_t> offset(num_shards + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    dest[i] = num_shards == 1 ? 0 : shard_of(events[i].where);
-    ++offset[dest[i] + 1];
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) offset[s + 1] += offset[s];
-  std::vector<Event> staged(n);
-  std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    Event e = events[i];
-    e.seq = base + static_cast<std::uint64_t>(i);
-    staged[cursor[dest[i]]++] = e;
-  }
-
   std::uint64_t blocked_n = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t lo = offset[s];
-    const std::size_t hi = offset[s + 1];
-    if (lo == hi) continue;
-    Shard& shard = *shards_[s];
-    es::UniqueLock lock(shard.mu);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (shard.count == config_.queue_capacity) {
-        ++shard.blocked;
-        ++blocked_n;
-        // Explicit recheck loop (not the predicate overload): the guarded
-        // reads stay in this annotated scope where the analysis can see
-        // the capability is held across the wait.
-        while (shard.count == config_.queue_capacity) {
-          shard.space.wait(lock);
-        }
-      }
-      shard.ring[(shard.head + shard.count) % config_.queue_capacity] =
-          staged[i];
-      ++shard.count;
+  if (n == 1) {
+    // The daemon publishes one event per call: no staging needed.
+    Event e = events.front();
+    e.seq = base;
+    blocked_n = fill(num_shards == 1 ? 0 : shard_of(e.where), &e, 1);
+  } else {
+    // Counting scatter: stamp seqs in span order and lay each shard's
+    // sub-batch out contiguously (relative order preserved) so the lock
+    // is taken once per touched shard, not once per event.
+    std::vector<std::size_t> dest(n);
+    std::vector<std::size_t> offset(num_shards + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      dest[i] = num_shards == 1 ? 0 : shard_of(events[i].where);
+      ++offset[dest[i] + 1];
+    }
+    for (std::size_t s = 0; s < num_shards; ++s) offset[s + 1] += offset[s];
+    std::vector<Event> staged(n);
+    std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      Event e = events[i];
+      e.seq = base + static_cast<std::uint64_t>(i);
+      staged[cursor[dest[i]]++] = e;
+    }
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (offset[s] == offset[s + 1]) continue;
+      blocked_n += fill(s, staged.data() + offset[s], offset[s + 1] - offset[s]);
     }
   }
 
   published_.fetch_add(static_cast<std::uint64_t>(n),
                        std::memory_order_relaxed);
+  poke();
   if (obs::enabled()) {
     auto& m = BusObsMetrics::get();
     m.published.add(static_cast<std::uint64_t>(n));
     if (blocked_n > 0) m.blocked.add(blocked_n);
   }
   return n;
+}
+
+std::uint64_t EventBus::fill(std::size_t s, const Event* events,
+                             std::size_t n) {
+  Shard& shard = *shards_[s];
+  std::uint64_t blocked_n = 0;
+  es::UniqueLock lock(shard.mu);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shard.count == config_.queue_capacity) {
+      ++shard.blocked;
+      ++blocked_n;
+      // The consumer may be asleep after an empty round that ran before
+      // this ring filled, and only its drain frees space: wake it first.
+      poke();
+      // Explicit recheck loop (not the predicate overload): the guarded
+      // reads stay in this annotated scope where the analysis can see
+      // the capability is held across the wait.
+      while (shard.count == config_.queue_capacity) {
+        shard.space.wait(lock);
+      }
+    }
+    shard.ring[(shard.head + shard.count) % config_.queue_capacity] =
+        events[i];
+    ++shard.count;
+  }
+  return blocked_n;
+}
+
+void EventBus::poke() {
+  activity_.fetch_add(1, std::memory_order_release);
+  activity_.notify_all();
+}
+
+void EventBus::wait_activity(std::uint32_t seen) const {
+  activity_.wait(seen, std::memory_order_acquire);
 }
 
 void EventBus::resume_seq(std::uint64_t next) {

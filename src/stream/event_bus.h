@@ -19,6 +19,14 @@
 /// single-shard determinism guarantee.
 /// Publishes, blocks and drains are observable through `obs` counters
 /// (`stream.event_bus.*`).
+///
+/// The bus also carries the consumer's wake-up: an activity counter that
+/// every publish bumps when it finishes (and before it blocks on a full
+/// ring), and that anyone else can bump with poke(). A consumer reads
+/// activity() before a drain round and, when the round comes back empty,
+/// blocks in wait_activity(seen) until the counter moves — so an idle
+/// consumer sleeps instead of polling, and no publish can slip in between
+/// the round and the wait unnoticed.
 
 #include <atomic>
 #include <cstddef>
@@ -100,6 +108,22 @@ class EventBus {
   /// publishes; call before the pipeline restarts.
   void resume_seq(std::uint64_t next);
 
+  /// The activity counter: bumped by every finished publish, by every
+  /// publish about to block on a full ring, and by poke().
+  [[nodiscard]] std::uint32_t activity() const {
+    return activity_.load(std::memory_order_acquire);
+  }
+
+  /// Bump the activity counter and wake wait_activity() callers: how a
+  /// thread other than a publisher (a stop request, a checkpoint request)
+  /// gets an idle consumer to look again.
+  void poke();
+
+  /// Block until activity() differs from `seen` (returns at once if it
+  /// already does). Read `seen` before the drain round whose emptiness
+  /// sends the consumer to sleep.
+  void wait_activity(std::uint32_t seen) const;
+
   /// Events currently queued in one shard.
   [[nodiscard]] std::size_t pending(std::size_t shard) const;
   /// Events currently queued across all shards.
@@ -120,10 +144,16 @@ class EventBus {
     std::uint64_t drained ES_GUARDED_BY(mu){0};
   };
 
+  /// Append `events[0..n)` (seqs already stamped) to shard `s`'s ring
+  /// under one lock acquisition, waiting for space per event. Returns the
+  /// number of events that had to wait.
+  std::uint64_t fill(std::size_t s, const Event* events, std::size_t n);
+
   EventBusConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> published_{0};
+  std::atomic<std::uint32_t> activity_{0};
 };
 
 }  // namespace esharing::stream

@@ -63,24 +63,35 @@ std::size_t Pipeline::drain_round() {
   // to `lanes` shards drain concurrently and no two lanes ever touch the
   // same buffer. Bit-identical at every width — each buffer's content is
   // a pure function of its shard's ring.
-  exec::parallel_for(
-      num_shards, /*grain=*/1,
-      [&](std::size_t first, std::size_t last, std::size_t) {
-        for (std::size_t s = first; s < last; ++s) {
-          auto& buf = lane_buffers_[s];
-          buf.clear();
-          while (bus_.drain(s, buf) > 0) {
-          }
-          // Concurrent publishers reserve seq ranges before locking the
-          // shard, so a ring can interleave ranges; restore per-shard seq
-          // order for the merge. Single-publisher rounds are already
-          // sorted and pay one linear is_sorted scan.
-          if (!std::is_sorted(buf.begin(), buf.end(), BySeq{})) {
-            std::sort(buf.begin(), buf.end(), BySeq{});
-          }
-        }
-      },
-      config_.lanes);
+  const auto drain_shards = [&](std::size_t first, std::size_t last,
+                                std::size_t) {
+    for (std::size_t s = first; s < last; ++s) {
+      auto& buf = lane_buffers_[s];
+      buf.clear();
+      while (bus_.drain(s, buf) > 0) {
+      }
+      // Concurrent publishers reserve seq ranges before locking the
+      // shard, so a ring can interleave ranges; restore per-shard seq
+      // order for the merge. Single-publisher rounds are already
+      // sorted and pay one linear is_sorted scan.
+      if (!std::is_sorted(buf.begin(), buf.end(), BySeq{})) {
+        std::sort(buf.begin(), buf.end(), BySeq{});
+      }
+    }
+  };
+  // A round with at most one busy shard has nothing to run in parallel:
+  // drain inline rather than wake the pool. The buffers come out the same
+  // either way (a shard that fills after the count is simply drained
+  // inline too).
+  std::size_t busy_before = 0;
+  for (std::size_t s = 0; s < num_shards && busy_before < 2; ++s) {
+    if (bus_.pending(s) > 0) ++busy_before;
+  }
+  if (busy_before < 2) {
+    drain_shards(0, num_shards, 0);
+  } else {
+    exec::parallel_for(num_shards, /*grain=*/1, drain_shards, config_.lanes);
+  }
 
   std::size_t total = 0;
   std::size_t busy = 0;
@@ -98,7 +109,8 @@ std::size_t Pipeline::drain_round() {
   // are small; the scan beats a heap and keeps ties impossible — seqs are
   // unique by construction).
   merged_.reserve(total);
-  std::vector<std::size_t> cursor(num_shards, 0);
+  std::vector<std::size_t>& cursor = merge_cursor_;
+  cursor.assign(num_shards, 0);
   std::uint64_t stalls = 0;
   for (std::size_t k = 0; k < total; ++k) {
     std::size_t best = num_shards;
@@ -153,19 +165,16 @@ std::size_t Pipeline::pump(std::vector<solver::OnlineDecision>* decisions_out) {
 }
 
 std::size_t Pipeline::pump_decisions(const DecisionCallback& on_decision) {
-  std::size_t consumed = 0;
-  std::vector<solver::OnlineDecision> decisions;
-  while (drain_round() > 0) {
-    decisions.clear();
-    placer_.consume_batch(merged_, config_.lanes, &decisions);
-    std::size_t next = 0;
-    for (const Event& e : merged_) {
-      if (e.kind != EventKind::kTripEnd) continue;
-      on_decision(e, decisions[next++]);
-    }
-    consumed += merged_.size();
+  const std::size_t n = drain_round();
+  if (n == 0) return 0;
+  decisions_.clear();
+  placer_.consume_batch(merged_, config_.lanes, &decisions_);
+  std::size_t next = 0;
+  for (const Event& e : merged_) {
+    if (e.kind != EventKind::kTripEnd) continue;
+    on_decision(e, decisions_[next++]);
   }
-  return consumed;
+  return n;
 }
 
 std::size_t Pipeline::pump_into(const Consumer& consumer) {

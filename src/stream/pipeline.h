@@ -12,14 +12,16 @@
 ///      `lanes` shards concurrently (`lanes = 0` uses the pool width).
 ///      Lanes are exec-pool chunks, not dedicated threads: the pool's
 ///      chunk shapes depend only on (shard_count, grain), never on timing.
+///      A round with at most one non-empty shard drains inline instead.
 ///   2. Merge stage — per-shard FIFO batches are merged by the bus-wide
 ///      seq stamp back into exact publish order. Seq gaps (events still in
 ///      flight from concurrent publishers) are counted as merge stalls,
 ///      never waited on.
 ///   3. Consume stage — the merged batch goes to
 ///      OnlinePlacerDriver::consume_batch, which fans the shard-local
-///      window/regime work back out across the same lanes and then runs
-///      tier-one decisions sequentially in seq order.
+///      window/regime work back out across the same lanes (inline when the
+///      batch touches one shard) and then runs tier-one decisions
+///      sequentially in seq order.
 ///
 /// Determinism: stages 1–3 are bit-identical to a single-shard,
 /// single-threaded replay at every (shard count, lane count, thread count)
@@ -124,14 +126,16 @@ class Pipeline {
   using DecisionCallback =
       std::function<void(const Event&, const solver::OnlineDecision&)>;
 
-  /// Pump that hands back (event, decision) pairs: identical to
-  /// pump() — same drain/merge/consume_batch calls, same decision trace —
-  /// but after each round the trip-end events of the merged batch are
-  /// zipped with the decisions they produced (consume_batch appends exactly
-  /// one decision per trip-end, in seq order) and `on_decision` is invoked
-  /// for each pair sequentially. This is the serving daemon's decide path:
-  /// the event carries the caller's `ref` token, so responses can be routed
-  /// back to the requesting connection. Returns the events consumed.
+  /// One lane/merge/consume round that hands back (event, decision)
+  /// pairs: the same drain/merge/consume_batch calls as one round of
+  /// pump(), but the trip-end events of the merged batch are zipped with
+  /// the decisions they produced (consume_batch appends exactly one
+  /// decision per trip-end, in seq order) and `on_decision` is invoked for
+  /// each pair sequentially. This is the serving daemon's decide path: the
+  /// event carries the caller's `ref` token, so responses can be routed
+  /// back to the requesting connection, and one call is one round, so the
+  /// caller can act between rounds (flush replies, checkpoint, sleep).
+  /// Returns the events consumed by the round (0 = the bus was empty).
   std::size_t pump_decisions(const DecisionCallback& on_decision);
 
   /// Publish `events` in order, in batches of at most the bus queue
@@ -161,10 +165,13 @@ class Pipeline {
   OnlinePlacerDriver placer_;
   IncentiveDriver incentive_;
 
-  /// Pump-cycle scratch; the pump is single-consumer by contract, so
-  /// these are not locked (lanes write disjoint per-shard buffers).
+  /// Pump-cycle scratch, kept across rounds so a steady-state round
+  /// allocates nothing; the pump is single-consumer by contract, so these
+  /// are not locked (lanes write disjoint per-shard buffers).
   std::vector<std::vector<Event>> lane_buffers_;
   std::vector<Event> merged_;
+  std::vector<std::size_t> merge_cursor_;
+  std::vector<solver::OnlineDecision> decisions_;
   std::uint64_t next_expected_seq_{0};
 
   std::uint64_t pump_rounds_{0};

@@ -74,13 +74,28 @@ void StreamState::advance_clock(data::Seconds t) {
   }
 }
 
+void StreamState::push_window(const WindowEntry& w) {
+  // Compact only when the evicted prefix is at least half of a full
+  // buffer: each compaction then moves at most as many entries as pushes
+  // since the last one, and the buffer stops growing once it is twice the
+  // live window.
+  if (window_.size() == window_.capacity() &&
+      2 * window_head_ >= window_.size()) {
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(window_head_));
+    window_head_ = 0;
+  }
+  window_.push_back(w);
+}
+
 void StreamState::evict(data::Seconds now) {
-  while (!window_.empty() && window_.front().time <= now - config_.window_length) {
-    auto it = cells_.find(window_.front().cell);
+  while (window_head_ < window_.size() &&
+         window_[window_head_].time <= now - config_.window_length) {
+    auto it = cells_.find(window_[window_head_].cell);
     if (it != cells_.end() && it->second.in_window > 0) {
       --it->second.in_window;
     }
-    window_.pop_front();
+    ++window_head_;
     if (obs::enabled()) StateObsMetrics::get().evicted.add();
   }
 }
@@ -102,7 +117,7 @@ void StreamState::ingest(const Event& e) {
       cell.rate += 1.0 / config_.rate_halflife_s;
       cell.rate_updated = std::max(cell.rate_updated, e.time);
       ++cell.in_window;
-      window_.push_back({e.time, e.seq, e.where, key});
+      push_window({e.time, e.seq, e.where, key});
       break;
     }
     case EventKind::kBatteryLevel: {
@@ -123,8 +138,8 @@ void StreamState::ingest(const Event& e) {
 
 std::vector<geo::Point> StreamState::window_points() const {
   std::vector<geo::Point> pts;
-  pts.reserve(window_.size());
-  for (const auto& w : window_) pts.push_back(w.where);
+  pts.reserve(window_size());
+  for (const auto& w : live_window()) pts.push_back(w.where);
   return pts;
 }
 
@@ -164,8 +179,8 @@ StateSnapshot StreamState::snapshot(data::Seconds as_of) const {
   // in_window counters: eviction is lazy (runs only on ingest), so a quiet
   // shard's counters can include entries a global clock already aged out.
   std::unordered_map<CellKey, std::uint64_t, CellKeyHash> live;
-  snap.window.reserve(window_.size());
-  for (const auto& w : window_) {
+  snap.window.reserve(window_size());
+  for (const auto& w : live_window()) {
     if (w.time <= now - config_.window_length) continue;
     ++live[w.cell];
     snap.window.push_back({w.seq, w.where});
@@ -224,8 +239,8 @@ void StreamState::save(std::ostream& os) const {
   wire::write_u8(os, saw_event_ ? 1 : 0);
   wire::write_u64(os, ingested_);
 
-  wire::write_u64(os, window_.size());
-  for (const auto& w : window_) {
+  wire::write_u64(os, window_size());
+  for (const auto& w : live_window()) {
     wire::write_i64(os, w.time);
     wire::write_u64(os, w.seq);
     wire::write_f64(os, w.where.x);
@@ -269,7 +284,7 @@ StreamState StreamState::restore(std::istream& is, StreamStateConfig config) {
     w.where.x = wire::read_f64(is);
     w.where.y = wire::read_f64(is);
     w.cell = st.cell_of(w.where);
-    st.window_.push_back(w);
+    st.push_window(w);
   }
 
   const std::uint64_t n_cells = wire::read_count(is, kSaneMax);
@@ -299,14 +314,16 @@ StreamState StreamState::restore(std::istream& is, StreamStateConfig config) {
 
 bool StreamState::equals(const StreamState& other) const {
   if (now_ != other.now_ || saw_event_ != other.saw_event_ ||
-      ingested_ != other.ingested_ || window_.size() != other.window_.size() ||
+      ingested_ != other.ingested_ || window_size() != other.window_size() ||
       cells_.size() != other.cells_.size() ||
       watch_.size() != other.watch_.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    const auto& a = window_[i];
-    const auto& b = other.window_[i];
+  const auto mine = live_window();
+  const auto theirs = other.live_window();
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    const auto& a = mine[i];
+    const auto& b = theirs[i];
     if (a.time != b.time || a.seq != b.seq || a.where.x != b.where.x ||
         a.where.y != b.where.y) {
       return false;

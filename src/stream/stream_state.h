@@ -23,8 +23,8 @@
 /// of shard count.
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -100,7 +100,9 @@ class StreamState {
   [[nodiscard]] const StreamStateConfig& config() const { return config_; }
   /// Latest event time observed by this shard.
   [[nodiscard]] data::Seconds now() const { return now_; }
-  [[nodiscard]] std::size_t window_size() const { return window_.size(); }
+  [[nodiscard]] std::size_t window_size() const {
+    return window_.size() - window_head_;
+  }
   [[nodiscard]] std::size_t watchlist_size() const { return watch_.size(); }
   [[nodiscard]] std::uint64_t events_ingested() const { return ingested_; }
 
@@ -170,6 +172,11 @@ class StreamState {
   };
 
   [[nodiscard]] CellKey cell_of(geo::Point p) const;
+  /// The live window entries, oldest first.
+  [[nodiscard]] std::span<const WindowEntry> live_window() const {
+    return std::span<const WindowEntry>(window_).subspan(window_head_);
+  }
+  void push_window(const WindowEntry& w);
   void evict(data::Seconds now);
   void advance_clock(data::Seconds t);
 
@@ -177,7 +184,12 @@ class StreamState {
   data::Seconds now_{0};
   bool saw_event_{false};
   std::uint64_t ingested_{0};
-  std::deque<WindowEntry> window_;
+  /// The sliding window as a FIFO over a vector: entries before
+  /// window_head_ are evicted, and push_window reuses their slots once
+  /// they make up half the buffer, so a window of steady size allocates
+  /// nothing.
+  std::vector<WindowEntry> window_;
+  std::size_t window_head_{0};
   std::unordered_map<CellKey, CellState, CellKeyHash> cells_;
   std::unordered_map<std::int64_t, WatchEntry> watch_;
 };

@@ -187,8 +187,9 @@ class AnalyzeProductionTree(unittest.TestCase):
             scratch, formats = self.scratch_surface_tree(td)
             header = scratch / "src" / "serve" / "protocol.h"
             text = header.read_text()
-            mutated = text.replace("kProtocolVersion = 1",
-                                   "kProtocolVersion = 2")
+            mutated = re.sub(
+                r"kProtocolVersion = (\d+)",
+                lambda m: f"kProtocolVersion = {int(m.group(1)) + 1}", text)
             self.assertNotEqual(text, mutated)
             header.write_text(mutated)
             result = self.run_freeze(scratch, formats)

@@ -71,11 +71,9 @@ TEST(ServeProtocol, RequestPayloadsRoundTrip) {
   {
     ServeTunables t;
     t.checkpoint_every_events = 512;
-    t.pump_idle_micros = 50;
     const Message m = decode_message(encode_reload_tunables(t));
     EXPECT_EQ(m.type, MsgType::kReloadTunables);
     EXPECT_EQ(m.tunables.checkpoint_every_events, 512u);
-    EXPECT_EQ(m.tunables.pump_idle_micros, 50u);
   }
   EXPECT_EQ(decode_message(encode_scrape_metrics()).type,
             MsgType::kScrapeMetrics);
@@ -149,17 +147,6 @@ TEST(ServeProtocol, CorruptPayloadsNeverHalfDecode) {
                std::runtime_error);
   // Trailing garbage after a complete body.
   EXPECT_THROW((void)decode_message(good + "x"), std::runtime_error);
-}
-
-TEST(ServeProtocol, TunablesValidateBounds) {
-  ServeTunables ok;
-  EXPECT_NO_THROW(ok.validate());
-  ServeTunables zero_idle;
-  zero_idle.pump_idle_micros = 0;
-  EXPECT_THROW(zero_idle.validate(), std::invalid_argument);
-  ServeTunables huge_idle;
-  huge_idle.pump_idle_micros = 2'000'000;
-  EXPECT_THROW(huge_idle.validate(), std::invalid_argument);
 }
 
 TEST(ServeProtocol, FrameIoRoundTripsOverAPipe) {
