@@ -82,18 +82,22 @@ void batch_matmul_transpose_acc(const float* w, std::size_t rows,
                                 std::size_t batch, float* out,
                                 std::size_t width = 0);
 
-/// Weight-gradient outer product, accumulated in double for full-batch
-/// training stability: g[r*cols + k] += sum_c dz[r][c] * x[k][c], the
-/// batch reduction folded in ascending c. Rows fan out with disjoint
-/// writes; the per-element fold order is fixed, so gradients are
-/// bit-identical at every width.
-void batch_outer_acc(const float* dz, std::size_t rows, const float* x,
-                     std::size_t cols, std::size_t batch, double* g,
-                     std::size_t width = 0);
+/// Weight-gradient fold, accumulated in double for full-batch training
+/// stability: out[r*cols + k] = sum_c a[c*lda + r] * x[k*batch + c] over
+/// window-major float gradient rows `a` (one contiguous row of `lda` per
+/// window) and a batch-contiguous `[cols × batch]` input plane held in
+/// double. Each element is ONE add chain, from 0.0 over ascending c. The
+/// outputs are computed in register blocks of up to 8 rows × 4 columns,
+/// vectorized across rows, never across windows; every product of two
+/// floats is exact in double, so the bits do not depend on the blocking.
+/// Serial on the calling lane.
+void batch_fold_outer(const float* a, std::size_t lda, std::size_t rows,
+                      const double* x, std::size_t cols, std::size_t batch,
+                      double* out);
 
-/// Bias gradient row sums: g[r] += sum_c dz[r][c], ascending c, double
-/// accumulation, disjoint row writes.
-void batch_rowsum_acc(const float* dz, std::size_t rows, std::size_t batch,
-                      double* g, std::size_t width = 0);
+/// Bias-gradient fold: out[r] = sum_c a[c*lda + r], one add chain from 0.0
+/// over ascending c per row, vectorized across r.
+void batch_fold_rowsum(const float* a, std::size_t lda, std::size_t rows,
+                       std::size_t batch, double* out);
 
 }  // namespace esharing::ml
