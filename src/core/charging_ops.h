@@ -16,6 +16,7 @@
 
 namespace esharing::core {
 
+// analyze-ok: knob-reach synthetic-data fixture: the simulated charging operator
 struct OperatorConfig {
   double speed_mps{5.0};          ///< service vehicle speed
   double stop_overhead_s{600.0};  ///< per-stop setup (parking, unloading)

@@ -29,6 +29,7 @@ enum class ForecastEngine { kSeasonalNaive, kMovingAverage, kArima, kLstm, kGru 
 
 [[nodiscard]] const char* forecast_engine_name(ForecastEngine e);
 
+// analyze-ok: knob-reach waits on ROADMAP item 8, like this header's reachability waiver
 struct GridForecastConfig {
   ForecastEngine engine{ForecastEngine::kSeasonalNaive};
   std::size_t top_cells{50};   ///< fit a model only for the busiest cells

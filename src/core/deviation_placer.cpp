@@ -15,6 +15,11 @@ using geo::Point;
 
 namespace {
 
+/// Size of the sliding current-window G the KS test reads.
+constexpr std::size_t kWindowCapacity = 500;
+/// The KS test waits until the window holds this many destinations.
+constexpr std::size_t kKsMinSamples = 30;
+
 struct PlacerMetrics {
   obs::Counter& requests;
   obs::Counter& stations_opened;
@@ -123,7 +128,7 @@ solver::OnlineDecision DeviationPenaltyPlacer::process(Point dest,
   ++requests_seen_;
   if (obs::enabled()) PlacerMetrics::get().requests.add();
   window_.push_back(dest);
-  while (window_.size() > config_.window_capacity) window_.pop_front();
+  while (window_.size() > kWindowCapacity) window_.pop_front();
 
   solver::OnlineDecision decision;
   const std::size_t nearest = nearest_active(dest);
@@ -173,7 +178,7 @@ solver::OnlineDecision DeviationPenaltyPlacer::process(Point dest,
 }
 
 void DeviationPenaltyPlacer::maybe_run_ks_test() {
-  if (history_.empty() || window_.size() < config_.ks_min_samples) return;
+  if (history_.empty() || window_.size() < kKsMinSamples) return;
   const std::vector<Point> current(window_.begin(), window_.end());
   const auto result = stats::ks2d_test(history_, current);
   last_similarity_ = result.similarity;
@@ -216,7 +221,9 @@ void DeviationPenaltyPlacer::save(std::ostream& os) const {
   wire::write_f64(os, config_.beta);
   wire::write_f64(os, config_.tolerance);
   wire::write_u64(os, config_.ks_period);
-  wire::write_u64(os, config_.window_capacity);
+  static_assert(kWindowCapacity == 500,
+                "the blob's window-capacity field is the literal 500");
+  wire::write_u64(os, 500);
 
   wire::write_u64(os, k_);
   for (Point p : landmarks_) {
@@ -276,7 +283,7 @@ DeviationPenaltyPlacer DeviationPenaltyPlacer::restore(
   const std::uint64_t window_capacity = wire::read_u64(is);
   if (beta != config.beta || tolerance != config.tolerance ||
       ks_period != config.ks_period ||
-      window_capacity != config.window_capacity) {
+      window_capacity != kWindowCapacity) {
     throw std::runtime_error(
         "DeviationPenaltyPlacer::restore: config mismatch — the checkpoint "
         "was written with beta/tolerance/ks_period/window_capacity = " +

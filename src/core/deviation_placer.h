@@ -33,7 +33,8 @@
 ///     vanish for realistic f (~10 km), freezing the online adaptivity the
 ///     paper demonstrates;
 ///   * periodically (and at every doubling), a Peacock 2-D KS test compares
-///     the current destination window against the historical sample and
+///     the current destination window (the last 500 destinations; the test
+///     waits until it holds 30) against the historical sample and
 ///     switches the penalty type (very similar -> Type II, similar ->
 ///     Type III, less similar -> Type I, Section V-C).
 ///
@@ -59,8 +60,6 @@ struct DeviationPlacerConfig {
   double tolerance{200.0};   ///< penalty tolerance L in meters (paper: 200 m)
   PenaltyType initial_penalty{PenaltyType::kTypeII};  ///< Algorithm 2 line 4
   std::size_t ks_period{200};     ///< run the KS test every this many requests (0 = only at doublings)
-  std::size_t ks_min_samples{30}; ///< skip the test until the window has this many points
-  std::size_t window_capacity{500};  ///< size of the sliding current-window G
   bool adaptive_type{true};   ///< switch penalty type from KS similarity
   /// When positive, use this w* instead of computing half the minimum
   /// pairwise landmark distance. Required to run with a single landmark

@@ -32,15 +32,6 @@ void ESharingConfig::validate() const {
                 "the penalty tolerance L is a distance in meters and must "
                 "be positive");
   }
-  if (placer.window_capacity == 0) {
-    config_fail("placer.window_capacity", 0.0,
-                "the KS sliding window must hold at least one destination");
-  }
-  if (placer.ks_min_samples == 0) {
-    config_fail("placer.ks_min_samples", 0.0,
-                "the KS test needs at least one window sample; use "
-                "adaptive_type=false to disable penalty switching instead");
-  }
   if (!(placer.w_star_override >= 0.0)) {
     config_fail("placer.w_star_override", placer.w_star_override,
                 "must be 0 (compute w* from the landmarks) or positive");

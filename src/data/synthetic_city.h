@@ -44,6 +44,7 @@ struct Poi {
 
 /// Generator configuration. Defaults mirror the paper's experimental field:
 /// a 3x3 km^2 area, 15 days (2017-05-10..24), 100 m grid granularity.
+// analyze-ok: knob-reach synthetic-data fixture: the generated city
 struct CityConfig {
   double field_size_m{3000.0};
   geo::LatLon sw_corner{39.86, 116.38};  ///< anchor in Beijing

@@ -16,6 +16,7 @@
 
 namespace esharing::energy {
 
+// analyze-ok: knob-reach synthetic-data fixture: the simulated battery model
 struct EnergyConfig {
   double consumption_per_km{0.02};  ///< SoC drained per km (2% -> 50 km range)
   double low_threshold{0.2};        ///< operator refills below this (paper: 20%)

@@ -12,6 +12,13 @@ namespace esharing::privacy {
 
 using geo::Point;
 
+namespace {
+
+constexpr std::uint64_t kSalt = 0x5eed5a17ULL;  ///< pseudonym key
+constexpr int kGeohashPrecision = 7;            ///< published cell size
+
+}  // namespace
+
 std::uint64_t pseudonymize(std::uint64_t id, std::uint64_t salt) {
   // Two rounds of splitmix64 keyed by the salt; bijective per salt, so
   // pseudonyms never collide.
@@ -103,7 +110,7 @@ std::vector<data::TripRecord> anonymize_trips(
     geo::LatLon c = proj.to_geo(p);
     c.lat = std::clamp(c.lat, -90.0, 90.0);
     c.lon = std::clamp(c.lon, -180.0, 180.0);
-    return geo::geohash_encode(c, config.geohash_precision);
+    return geo::geohash_encode(c, kGeohashPrecision);
   };
 
   std::vector<data::TripRecord> out;
@@ -111,9 +118,9 @@ std::vector<data::TripRecord> anonymize_trips(
   for (const auto& t : trips) {
     data::TripRecord a = t;
     a.user_id = static_cast<std::int64_t>(
-        pseudonymize(static_cast<std::uint64_t>(t.user_id), config.salt) >> 1);
+        pseudonymize(static_cast<std::uint64_t>(t.user_id), kSalt) >> 1);
     a.bike_id = static_cast<std::int64_t>(
-        pseudonymize(static_cast<std::uint64_t>(t.bike_id), config.salt ^ 0xb1ce5ULL) >> 1);
+        pseudonymize(static_cast<std::uint64_t>(t.bike_id), kSalt ^ 0xb1ce5ULL) >> 1);
     a.start_geohash = rehash(t.start_geohash);
     a.end_geohash = rehash(t.end_geohash);
     out.push_back(std::move(a));

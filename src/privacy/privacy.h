@@ -63,14 +63,13 @@ class PlanarLaplace {
     const std::vector<data::TripRecord>& trips);
 
 struct AnonymizeConfig {
-  std::uint64_t salt{0x5eed5a17ULL};
   double epsilon{0.01};  ///< planar-Laplace parameter; <= 0 disables
-  int geohash_precision{7};
 };
 
-/// Anonymize a trip stream: user and bike ids are pseudonymized, start/end
-/// locations pass through the planar Laplace mechanism (clamped to valid
-/// coordinates) and are re-geohashed. Order ids and timestamps are kept —
+/// Anonymize a trip stream: user and bike ids are pseudonymized under a
+/// fixed salt, start/end locations pass through the planar Laplace
+/// mechanism (clamped to valid coordinates) and are re-geohashed at
+/// precision 7 (~150 m cells). Order ids and timestamps are kept —
 /// the downstream demand pipeline needs them.
 [[nodiscard]] std::vector<data::TripRecord> anonymize_trips(
     const std::vector<data::TripRecord>& trips,

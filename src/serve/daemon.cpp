@@ -23,6 +23,9 @@ namespace esharing::serve {
 
 namespace {
 
+/// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 64;
+
 /// Metric handles resolved once (registry convention; names frozen in
 /// tools/lint/frozen_metric_names.txt).
 struct ServeMetricsRefs {
@@ -63,14 +66,7 @@ ServeConfig validated(ServeConfig config) {
 
 }  // namespace
 
-void ServeConfig::validate() const {
-  if (listen_backlog < 1) {
-    throw std::invalid_argument("ServeConfig: listen_backlog is " +
-                                std::to_string(listen_backlog) +
-                                " but must be >= 1");
-  }
-  pipeline.validate();
-}
+void ServeConfig::validate() const { pipeline.validate(); }
 
 // --- Connection ------------------------------------------------------------
 
@@ -141,7 +137,7 @@ void ServeDaemon::start() {
              sizeof(addr)) != 0) {
     throw_errno("bind 127.0.0.1:" + std::to_string(config_.port));
   }
-  if (::listen(listen_fd_, config_.listen_backlog) != 0) throw_errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) throw_errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);

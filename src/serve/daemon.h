@@ -60,7 +60,6 @@ struct ServeConfig {
   /// TCP port to listen on (loopback only); 0 picks an ephemeral port —
   /// read it back with ServeDaemon::port().
   std::uint16_t port{0};
-  int listen_backlog{64};
   /// Checkpoint file; empty disables checkpointing entirely (the daemon
   /// then refuses kCheckpointNow and skips the shutdown checkpoint). When
   /// the file exists at start(), the daemon restores from it.

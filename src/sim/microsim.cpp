@@ -13,6 +13,16 @@ namespace esharing::sim {
 using data::TripRecord;
 using geo::Point;
 
+namespace {
+
+constexpr double kRideSpeedMps = 4.0;  ///< e-bike cruise speed
+/// The nightly charging shift starts at this local time of day.
+constexpr Seconds kChargingShiftAt = 22 * data::kSecondsPerHour;
+/// Size of the KS reference subsample (as in sim::Simulation).
+constexpr std::size_t kHistorySampleCap = 400;
+
+}  // namespace
+
 MicroSimulation::MicroSimulation(const data::SyntheticCity& city,
                                  MicroSimConfig config, std::uint64_t seed)
     : city_(city),
@@ -23,9 +33,6 @@ MicroSimulation::MicroSimulation(const data::SyntheticCity& city,
       bikes_(city.config().num_bikes) {
   if (!(config_.walk_radius_m > 0.0)) {
     throw std::invalid_argument("MicroSimulation: walk radius must be positive");
-  }
-  if (!(config_.ride_speed_mps > 0.0)) {
-    throw std::invalid_argument("MicroSimulation: ride speed must be positive");
   }
 }
 
@@ -47,9 +54,9 @@ void MicroSimulation::bootstrap(const std::vector<TripRecord>& history) {
   });
   auto sample = data::destinations_in_window(city_.projection(), history, lo,
                                              hi + 1);
-  if (sample.size() > config_.history_sample_cap) {
+  if (sample.size() > kHistorySampleCap) {
     rng_.shuffle(sample);
-    sample.resize(config_.history_sample_cap);
+    sample.resize(kHistorySampleCap);
   }
   system_.start_online(std::move(sample));
 
@@ -112,7 +119,7 @@ void MicroSimulation::handle_request(Point origin, Point destination,
   BikeState& state = bikes_[*bike];
   state.in_ride = true;
   const double ride_m = geo::distance(state.position, parking);
-  const auto ride_s = static_cast<Seconds>(ride_m / config_.ride_speed_mps) + 1;
+  const auto ride_s = static_cast<Seconds>(ride_m / kRideSpeedMps) + 1;
   engine_.schedule_in(ride_s, [this, b = *bike, parking, ride_m]() {
     bikes_[b].in_ride = false;
     bikes_[b].position = parking;
@@ -163,7 +170,7 @@ MicroSimMetrics MicroSimulation::run(const std::vector<TripRecord>& live) {
   const auto first_day = data::day_index(trips.front().start_time);
   const auto last_day = data::day_index(trips.back().start_time);
   for (auto day = first_day; day <= last_day; ++day) {
-    const Seconds at = day * data::kSecondsPerDay + config_.charging_shift_at;
+    const Seconds at = day * data::kSecondsPerDay + kChargingShiftAt;
     if (at < engine_.now()) continue;
     engine_.schedule(at, [this, &metrics]() { charging_shift(metrics); });
   }

@@ -26,13 +26,10 @@ namespace esharing::sim {
 
 struct MicroSimConfig {
   core::ESharingConfig esharing;
-  energy::EnergyConfig energy;
+  energy::EnergyConfig energy;  // analyze-ok: knob-reach synthetic-data fixture
   double mean_opening_cost{10000.0};
   double walk_radius_m{400.0};   ///< how far a rider walks to reach a bike
-  double ride_speed_mps{4.0};    ///< e-bike cruise speed
-  Seconds charging_shift_at{22 * data::kSecondsPerHour};  ///< daily local time
   std::size_t n_operators{1};
-  std::size_t history_sample_cap{400};
 };
 
 struct MicroSimMetrics {

@@ -14,6 +14,10 @@ using geo::Point;
 
 namespace {
 
+/// Size of the KS reference: a shuffled subsample of the historical
+/// destinations (MicroSimulation uses the same 400).
+constexpr std::size_t kHistorySampleCap = 400;
+
 struct SimObsMetrics {
   obs::Counter& trips;
   obs::Counter& charging_rounds;
@@ -79,10 +83,6 @@ void SimConfig::validate() const {
     fail("user_min_reward_hi", user_min_reward_hi,
          "the sampling range upper bound must be >= user_min_reward_lo");
   }
-  if (history_sample_cap == 0) {
-    fail("history_sample_cap", 0.0,
-         "the KS reference needs at least one historical destination");
-  }
 }
 
 double SimMetrics::total_charging_cost() const {
@@ -140,9 +140,9 @@ void Simulation::bootstrap(const std::vector<TripRecord>& history) {
 
   // KS reference: a capped subsample of historical destinations.
   auto dests = data::destinations_in_window(city_.projection(), history, lo, hi + 1);
-  if (dests.size() > config_.history_sample_cap) {
+  if (dests.size() > kHistorySampleCap) {
     rng_.shuffle(dests);
-    dests.resize(config_.history_sample_cap);
+    dests.resize(kHistorySampleCap);
   }
   system_.start_online(std::move(dests));
 
@@ -244,8 +244,7 @@ void Simulation::process_trip(const TripRecord& trip, SimMetrics& metrics) {
   if (station_bikes_[origin_station] > 0) {
     --station_bikes_[origin_station];
   }
-  if (config_.remove_empty_stations &&
-      station_bikes_[origin_station] == 0 &&
+  if (station_bikes_[origin_station] == 0 &&
       system_.placer().num_active() > 1) {
     system_.placer().remove_station(origin_station);
     ++stations_removed_;

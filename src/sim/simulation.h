@@ -25,19 +25,15 @@ namespace esharing::sim {
 
 struct SimConfig {
   core::ESharingConfig esharing;
-  energy::EnergyConfig energy;
+  energy::EnergyConfig energy;  // analyze-ok: knob-reach synthetic-data fixture
   double mean_opening_cost{10000.0};  ///< f_i mean, meters-equivalent (paper: 10 km)
   data::Seconds charging_period{data::kSecondsPerDay};  ///< one round per period
-  /// User-behaviour sampling ranges (Eq. 13 thresholds).
-  double user_max_walk_lo_m{100.0};
-  double user_max_walk_hi_m{500.0};
-  double user_min_reward_lo{0.0};
+  /// User-behaviour sampling ranges (Eq. 13 thresholds): the synthetic
+  /// user model.
+  double user_max_walk_lo_m{100.0};  // analyze-ok: knob-reach synthetic user model
+  double user_max_walk_hi_m{500.0};  // analyze-ok: knob-reach synthetic user model
+  double user_min_reward_lo{0.0};    // analyze-ok: knob-reach synthetic user model
   double user_min_reward_hi{1.2};
-  std::size_t history_sample_cap{400};  ///< KS reference subsample size
-  /// Footnote 2 of the paper: when the last bike at a station is picked
-  /// up, the station is removed from P (the online algorithm may establish
-  /// one there again later based on demand).
-  bool remove_empty_stations{true};
 
   /// Fail fast on inconsistent parameters (including the nested
   /// ESharingConfig). Called by the Simulation constructor.

@@ -184,11 +184,9 @@ struct Scan {
   std::size_t evaluated{0};
 };
 
-/// Shared body of jms_greedy / jms_greedy_warm: `seed_open` facilities
-/// start open (empty for the cold solve).
-FlSolution jms_greedy_impl(const CostOracle& oracle,
-                           const std::vector<std::size_t>& seed_open,
-                           const JmsOptions& options) {
+}  // namespace
+
+FlSolution jms_greedy(const CostOracle& oracle, const JmsOptions& options) {
   const FlInstance& instance = oracle.instance();
   instance.validate();
   const std::size_t nf = instance.facilities.size();
@@ -204,13 +202,6 @@ FlSolution jms_greedy_impl(const CostOracle& oracle,
   }
 
   std::vector<bool> open(nf, false);
-  for (std::size_t f : seed_open) {
-    if (f >= nf) {
-      throw std::invalid_argument(
-          "jms_greedy_warm: seed facility index out of range");
-    }
-    open[f] = true;
-  }
   std::vector<std::size_t> assigned(nc, kUnassigned);
   std::vector<double> current_cost(nc, kInf);  // connection cost of assigned
   std::size_t unconnected = nc;
@@ -326,18 +317,6 @@ FlSolution jms_greedy_impl(const CostOracle& oracle,
   }
   sol.open = std::move(pruned);
   return sol;
-}
-
-}  // namespace
-
-FlSolution jms_greedy(const CostOracle& oracle, const JmsOptions& options) {
-  return jms_greedy_impl(oracle, {}, options);
-}
-
-FlSolution jms_greedy_warm(const CostOracle& oracle,
-                           const std::vector<std::size_t>& seed_open,
-                           const JmsOptions& options) {
-  return jms_greedy_impl(oracle, seed_open, options);
 }
 
 FlSolution jms_greedy(const FlInstance& instance, const JmsOptions& options) {

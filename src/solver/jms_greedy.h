@@ -47,7 +47,6 @@
 /// results are bit-identical for every num_threads value.
 
 #include <cstddef>
-#include <vector>
 
 #include "solver/cost_oracle.h"
 #include "solver/facility_location.h"
@@ -70,19 +69,5 @@ struct JmsOptions {
 /// Run against an existing oracle (shared with other solver passes).
 [[nodiscard]] FlSolution jms_greedy(const CostOracle& oracle,
                                     const JmsOptions& options = {});
-
-/// Warm-started greedy: the facilities in `seed_open` start the run
-/// already open (their opening cost is sunk up front, so early stars see
-/// f_i = 0 for them), which steers the scan toward the previous epoch's
-/// plan when demand has only drifted. Seeded facilities that end the run
-/// with no clients are pruned like any other, so the result is still a
-/// valid, tightened solution; with an empty seed this is exactly
-/// jms_greedy. Warm results are NOT guaranteed cheaper than cold ones —
-/// the never-worse re-solve contract lives in ReoptimizationSession,
-/// which compares candidates against the carried-over baseline.
-/// \throws std::invalid_argument if a seed index is out of range.
-[[nodiscard]] FlSolution jms_greedy_warm(
-    const CostOracle& oracle, const std::vector<std::size_t>& seed_open,
-    const JmsOptions& options = {});
 
 }  // namespace esharing::solver

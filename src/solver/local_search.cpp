@@ -14,6 +14,10 @@ namespace esharing::solver {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Safety cap on improving moves per search.
+constexpr std::size_t kMaxIterations = 1000;
+/// Gains at or below this are noise: the search treats them as no gain.
+constexpr double kMinImprovement = 1e-9;
 
 struct LocalSearchMetrics {
   obs::Counter& solves;
@@ -141,7 +145,7 @@ FlSolution local_search(const CostOracle& oracle, const FlSolution& initial,
 
   std::vector<Move> moves;
   std::vector<double> move_cost;
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     // Canonical move order: opens, closes, swaps (out-major). The
     // sequential selection below depends on this order, so it is part of
     // the determinism contract.
@@ -184,14 +188,14 @@ FlSolution local_search(const CostOracle& oracle, const FlSolution& initial,
     double best = current;
     std::size_t best_open = nf, best_close = nf;
     for (std::size_t m = 0; m < moves.size(); ++m) {
-      if (move_cost[m] < best - options.min_improvement) {
+      if (move_cost[m] < best - kMinImprovement) {
         best = move_cost[m];
         best_open = moves[m].force_open;
         best_close = moves[m].force_close;
       }
     }
 
-    if (best >= current - options.min_improvement) break;  // local optimum
+    if (best >= current - kMinImprovement) break;  // local optimum
     if (best_open < nf) open[best_open] = true;
     if (best_close < nf) open[best_close] = false;
     current = best;

@@ -3,7 +3,8 @@
 /// \file local_search.h
 /// Local-search improvement for facility location: starting from any
 /// feasible open set, repeatedly apply the best improving move among
-/// open(i), close(i) and swap(i, i') until none improves. The classic
+/// open(i), close(i) and swap(i, i') until none improves by more than
+/// 1e-9, or for at most 1,000 moves (local_search.cpp). The classic
 /// analysis bounds local optima at 3x the true optimum (Arya et al.); in
 /// this library the pass is mainly used to polish solutions from the
 /// greedy/primal-dual algorithms and as another cross-check in tests.
@@ -28,9 +29,7 @@
 namespace esharing::solver {
 
 struct LocalSearchOptions {
-  std::size_t max_iterations{1000};  ///< safety cap on improving moves
-  double min_improvement{1e-9};      ///< ignore smaller-than-noise gains
-  bool allow_swaps{true};            ///< include swap moves (costlier scan)
+  bool allow_swaps{true};  ///< include swap moves (costlier scan)
   /// Lanes on the exec pool for candidate-move evaluation: 0 = the
   /// process-wide pool width (ESHARING_THREADS), 1 = fully sequential on
   /// the caller. Outputs are identical for any value.

@@ -121,20 +121,9 @@ const FlSolution& ReoptimizationSession::reoptimize(const InstanceDelta& delta) 
     // lose to; local_search's never-worse guarantee makes that structural.
     FlSolution baseline = assign_to_open(oracle_, carried);
     stats_.baseline_cost = baseline.total_cost();
-    LocalSearchOptions ls;
-    ls.max_iterations = options_.max_iterations;
-    ls.min_improvement = options_.min_improvement;
-    ls.allow_swaps = options_.allow_swaps;
-    ls.num_threads = options_.num_threads;
-    FlSolution best = local_search(oracle_, baseline, ls);
-    if (options_.warm_jms) {
-      FlSolution seeded = jms_greedy_warm(oracle_, carried,
-                                          JmsOptions{options_.num_threads});
-      // Strictly cheaper only: ties keep the polished baseline, so the
-      // default path stays deterministic and never-worse.
-      if (seeded.total_cost() < best.total_cost()) best = std::move(seeded);
-    }
-    last_ = std::move(best);
+    last_ = local_search(
+        oracle_, baseline,
+        {.allow_swaps = false, .num_threads = options_.num_threads});
     if (obs::enabled()) ReoptMetrics::get().warm_solves.add();
   }
   stats_.final_cost = last_.total_cost();

@@ -16,9 +16,10 @@
 ///  - Never costlier than the starting point: a warm re-solve first
 ///    carries the previous open set across the delta (remap_open_set +
 ///    assign_to_open = the baseline "keep yesterday's plan" solution) and
-///    only ever improves on it (local_search's never-worse guarantee; the
-///    optional warm-seeded JMS candidate is taken only when strictly
-///    cheaper).
+///    only ever improves on it (local_search's never-worse guarantee).
+///    The polish runs opens and closes only: the warm start is yesterday's
+///    (already good) plan, and the swap scan is the one move family whose
+///    cost rivals a cold solve.
 ///  - Bit-determinism: every ingredient (delta application, oracle
 ///    patching, JMS, local search) is bit-identical at every thread
 ///    width, so re-anchored plans are too.
@@ -43,18 +44,8 @@ namespace esharing::solver {
 struct ReoptOptions {
   /// Lanes on the exec pool for the solves: 0 = process-wide pool width
   /// (ESHARING_THREADS), 1 = sequential. Outputs identical for any value.
+  // analyze-ok: knob-reach swept by the ReoptThreads tests; shipped callers pass ReoptOptions{}
   std::size_t num_threads{1};
-  /// local_search polish controls for the warm path. Swaps are off by
-  /// default: the warm polish starts from yesterday's (already good) plan,
-  /// and the swap scan is the one move family whose cost rivals a cold
-  /// solve — bench_warm_restart measures the trade.
-  std::size_t max_iterations{1000};
-  double min_improvement{1e-9};
-  bool allow_swaps{false};
-  /// Additionally run the warm-seeded JMS (jms_greedy_warm from the
-  /// carried open set) and keep it only when strictly cheaper than the
-  /// polished baseline. Costs close to a cold solve — off by default.
-  bool warm_jms{false};
 };
 
 /// What the last reoptimize() call did — for bench/driver reporting.

@@ -39,7 +39,9 @@ void save_checkpoint(std::ostream& os, const EventBus& bus,
   wire::write_u64(os, kCheckpointMagic);
   wire::write_u64(os, kCheckpointVersion);
   wire::write_u64(os, bus.shard_count());
-  wire::write_f64(os, bus.config().route_cell_m);
+  static_assert(kCellM == 100.0,
+                "the checkpoint's routing-cell field is the literal 100.0");
+  wire::write_f64(os, 100.0);  // routing cell edge, meters
   wire::write_u8(os, 0);  // retired backpressure-policy byte (always block)
   wire::write_u64(os, bus.config().queue_capacity);
   wire::write_u64(os, bus.next_seq());
@@ -87,12 +89,11 @@ CheckpointInfo restore_checkpoint(std::istream& is, EventBus& bus,
         " — restore with a bus of the same shard count");
   }
   const double route_cell_m = wire::read_f64(is);
-  if (route_cell_m != bus.config().route_cell_m) {
+  if (route_cell_m != kCellM) {
     throw std::runtime_error(
         "restore_checkpoint: checkpoint routed events on " +
         std::to_string(route_cell_m) + " m cells, the live bus routes on " +
-        std::to_string(bus.config().route_cell_m) +
-        " m — shard ownership would not line up");
+        std::to_string(kCellM) + " m — shard ownership would not line up");
   }
   (void)wire::read_u8(is);   // retired policy byte, always 0
   (void)wire::read_u64(is);  // queue_capacity: likewise

@@ -16,7 +16,8 @@
 ///
 /// Layout (little-endian, see data/wire.h):
 ///   magic "ESTRCCP1" | version | bus fingerprint (shard_count,
-///   route_cell_m, a retired policy byte written as 0, queue_capacity) |
+///   routing cell edge (always 100.0 m), a retired policy byte written as
+///   0, queue_capacity) |
 ///   next seq | placer blob | reopt-session
 ///   blob (warm re-anchor state) | placer-driver blob (regimes + per-shard
 ///   states) | incentive-driver blob.

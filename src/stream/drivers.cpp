@@ -134,10 +134,9 @@ std::optional<solver::OnlineDecision> OnlinePlacerDriver::decide(
     // Hourly per-cell accumulation for the batch forecast refresh. Runs in
     // the sequential decision stage, so the accumulator is a pure function
     // of the merged seq order — shard-count and lane invariant.
-    const double cell = config_.state.cell_m;
     const std::pair<std::int64_t, std::int64_t> key{
-        static_cast<std::int64_t>(std::floor(e.where.x / cell)),
-        static_cast<std::int64_t>(std::floor(e.where.y / cell))};
+        static_cast<std::int64_t>(std::floor(e.where.x / kCellM)),
+        static_cast<std::int64_t>(std::floor(e.where.y / kCellM))};
     const auto hour = static_cast<std::int64_t>(
         std::floor(static_cast<double>(e.time) / kSecondsPerHour));
     auto& hours = forecast_hours_[key];
@@ -228,7 +227,6 @@ void OnlinePlacerDriver::run_reanchor() {
   // it feeds) is identical no matter how the stream was sharded.
   const StateSnapshot snap = merged_snapshot();
   if (snap.cells.size() < config_.reanchor_min_cells) return;
-  const double cell = config_.state.cell_m;
 
   // Per-cell expected arrivals: a batch forecast of the next hour when the
   // accumulator holds enough completed hours, else the raw window counts.
@@ -271,14 +269,14 @@ void OnlinePlacerDriver::run_reanchor() {
       for (std::size_t i = 0; i < snap.cells.size(); ++i) {
         const double weight = std::max(0.0, forecasts[i][0]);
         if (weight <= 0.0) continue;
-        sites.push_back({snap.cells[i].centroid(cell), weight});
+        sites.push_back({snap.cells[i].centroid(), weight});
       }
       // A degenerate forecast (everything predicted idle) falls back to the
       // raw counts rather than anchoring on an empty instance.
       used_forecast = sites.size() >= config_.reanchor_min_cells;
     }
   }
-  if (!used_forecast) sites = snap.demand_sites(cell);
+  if (!used_forecast) sites = snap.demand_sites();
   system_->reanchor(sites);
   ++reanchors_;
   if (used_forecast) ++forecast_refreshes_;

@@ -57,9 +57,11 @@ struct PlacerDriverConfig {
   /// re-optimization engine. Because events are consumed in seq order and
   /// the snapshot is taken at the global max clock, re-anchor points and
   /// outputs are identical at every shard count.
+  // analyze-ok: knob-reach only tests set it until ROADMAP item 8 wires it into esharing-serve
   std::size_t reanchor_period{0};
   /// Skip a scheduled re-anchor while the merged snapshot has fewer
   /// demand cells than this (too few cells make a degenerate instance).
+  // analyze-ok: knob-reach only tests set it until ROADMAP item 8 wires it into esharing-serve
   std::size_t reanchor_min_cells{2};
   /// Hours of per-cell hourly arrival history the driver accumulates for
   /// batch forecast refreshes (0 = off, the default). When enabled, each
@@ -68,8 +70,10 @@ struct PlacerDriverConfig {
   /// instead of the raw window counts — falling back to raw counts until
   /// enough completed hours have accumulated. Accumulation happens in the
   /// sequential decision stage, so it is shard-count and lane invariant.
+  // analyze-ok: knob-reach only tests set it until ROADMAP item 8 wires it into esharing-serve
   std::size_t forecast_history_hours{0};
   /// Batched forecaster settings used when forecast_history_hours > 0.
+  // analyze-ok: knob-reach only tests set it until ROADMAP item 8 wires it into esharing-serve
   ml::batch::BatchRnnConfig forecast_rnn;
 
   /// \throws std::invalid_argument on the first violated constraint.

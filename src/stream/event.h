@@ -18,6 +18,10 @@
 
 namespace esharing::stream {
 
+/// Edge of the paper's 100 m x 100 m grid cell, in meters. The bus routes
+/// events to shards by these cells and StreamState counts demand per cell.
+inline constexpr double kCellM = 100.0;
+
 enum class EventKind : std::uint8_t {
   kTripStart = 0,   ///< pickup at `where` (tier-two trigger)
   kTripEnd = 1,     ///< drop-off request with destination `where` (tier one)

@@ -63,10 +63,6 @@ void EventBusConfig::validate() const {
              std::to_string(queue_capacity) +
              " (the ring never holds that many events)");
   }
-  if (!(route_cell_m > 0.0)) {
-    fail("route_cell_m", route_cell_m,
-         "the routing cell edge is a length in meters and must be positive");
-  }
 }
 
 EventBus::EventBus(EventBusConfig config) : config_(config) {
@@ -81,9 +77,9 @@ std::size_t EventBus::shard_of(geo::Point p) const {
   // Same Fibonacci cell-coordinate mixing the spatial index uses; the
   // floor() keeps negative coordinates consistent across platforms.
   const auto cx =
-      static_cast<std::int64_t>(std::floor(p.x / config_.route_cell_m));
+      static_cast<std::int64_t>(std::floor(p.x / kCellM));
   const auto cy =
-      static_cast<std::int64_t>(std::floor(p.y / config_.route_cell_m));
+      static_cast<std::int64_t>(std::floor(p.y / kCellM));
   std::uint64_t h = static_cast<std::uint64_t>(cx) * 0x9E3779B97F4A7C15ULL;
   h ^= static_cast<std::uint64_t>(cy) + 0x9E3779B97F4A7C15ULL + (h << 6) +
        (h >> 2);

@@ -46,7 +46,6 @@ struct EventBusConfig {
   std::size_t shard_count{1};      ///< >= 1; shards own disjoint cell sets
   std::size_t queue_capacity{4096};///< per-shard ring capacity (events)
   std::size_t max_batch{256};      ///< drain batch cap; <= queue_capacity
-  double route_cell_m{100.0};      ///< routing cell edge (paper grid: 100 m)
 
   /// Fail fast with an actionable message (PR 2 validate() convention).
   /// \throws std::invalid_argument on the first violated constraint.

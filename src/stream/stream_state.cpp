@@ -13,6 +13,11 @@ namespace esharing::stream {
 
 namespace {
 
+/// Half-life of the per-cell arrival-rate estimate, in seconds.
+constexpr double kRateHalflifeS = 1800.0;
+/// A bike reporting a state of charge below this joins the watchlist.
+constexpr double kLowSocThreshold = 0.2;
+
 struct StateObsMetrics {
   obs::Counter& ingested;
   obs::Counter& evicted;
@@ -43,19 +48,6 @@ void StreamStateConfig::validate() const {
          "the sliding demand window is a duration in seconds and must be "
          "positive");
   }
-  if (!(rate_halflife_s > 0.0)) {
-    fail("rate_halflife_s", rate_halflife_s,
-         "the arrival-rate decay half-life must be positive");
-  }
-  if (!(low_soc_threshold > 0.0 && low_soc_threshold <= 1.0)) {
-    fail("low_soc_threshold", low_soc_threshold,
-         "the watchlist threshold is a state-of-charge fraction in (0, 1]");
-  }
-  if (!(cell_m > 0.0)) {
-    fail("cell_m", cell_m,
-         "the demand-count cell edge is a length in meters and must be "
-         "positive");
-  }
 }
 
 StreamState::StreamState(StreamStateConfig config) : config_(config) {
@@ -63,8 +55,8 @@ StreamState::StreamState(StreamStateConfig config) : config_(config) {
 }
 
 StreamState::CellKey StreamState::cell_of(geo::Point p) const {
-  return {static_cast<std::int64_t>(std::floor(p.x / config_.cell_m)),
-          static_cast<std::int64_t>(std::floor(p.y / config_.cell_m))};
+  return {static_cast<std::int64_t>(std::floor(p.x / kCellM)),
+          static_cast<std::int64_t>(std::floor(p.y / kCellM))};
 }
 
 void StreamState::advance_clock(data::Seconds t) {
@@ -112,16 +104,16 @@ void StreamState::ingest(const Event& e) {
       // Decay the rate estimate to this event's time, then count it.
       if (cell.rate > 0.0 && e.time > cell.rate_updated) {
         const double dt = static_cast<double>(e.time - cell.rate_updated);
-        cell.rate *= std::exp2(-dt / config_.rate_halflife_s);
+        cell.rate *= std::exp2(-dt / kRateHalflifeS);
       }
-      cell.rate += 1.0 / config_.rate_halflife_s;
+      cell.rate += 1.0 / kRateHalflifeS;
       cell.rate_updated = std::max(cell.rate_updated, e.time);
       ++cell.in_window;
       push_window({e.time, e.seq, e.where, key});
       break;
     }
     case EventKind::kBatteryLevel: {
-      if (e.soc < config_.low_soc_threshold) {
+      if (e.soc < kLowSocThreshold) {
         const bool fresh = watch_.find(e.bike_id) == watch_.end();
         watch_[e.bike_id] = {e.bike_id, e.where, e.soc, e.time};
         if (fresh && obs::enabled()) StateObsMetrics::get().watch_added.add();
@@ -150,12 +142,11 @@ std::vector<geo::Point> StateSnapshot::window_points() const {
   return pts;
 }
 
-std::vector<data::DemandSite> StateSnapshot::demand_sites(
-    double cell_m) const {
+std::vector<data::DemandSite> StateSnapshot::demand_sites() const {
   std::vector<data::DemandSite> sites;
   sites.reserve(cells.size());
   for (const auto& c : cells) {
-    sites.push_back({c.centroid(cell_m), static_cast<double>(c.count)});
+    sites.push_back({c.centroid(), static_cast<double>(c.count)});
   }
   return sites;
 }
@@ -166,7 +157,7 @@ double StreamState::arrival_rate(geo::Point p, data::Seconds at) const {
   const CellState& cell = it->second;
   if (at <= cell.rate_updated) return cell.rate;
   const double dt = static_cast<double>(at - cell.rate_updated);
-  return cell.rate * std::exp2(-dt / config_.rate_halflife_s);
+  return cell.rate * std::exp2(-dt / kRateHalflifeS);
 }
 
 StateSnapshot StreamState::snapshot() const { return snapshot(now_); }
@@ -190,8 +181,8 @@ StateSnapshot StreamState::snapshot(data::Seconds as_of) const {
     const auto it = live.find(key);
     snap.cells.push_back({key.cx, key.cy,
                           it == live.end() ? 0 : it->second,
-                          arrival_rate({static_cast<double>(key.cx) * config_.cell_m,
-                                        static_cast<double>(key.cy) * config_.cell_m},
+                          arrival_rate({static_cast<double>(key.cx) * kCellM,
+                                        static_cast<double>(key.cy) * kCellM},
                                        now)});
   }
   snap.watchlist.reserve(watch_.size());

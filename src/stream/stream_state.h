@@ -12,11 +12,13 @@
 ///     full-history G-sample rescans of the batch path — the 2-D KS regime
 ///     check of Algorithm 2 runs directly on these window points);
 ///   * exponentially decayed per-cell arrival-rate estimates
-///     (events/second with a configurable half-life), the live analogue of
+///     (events/second with a 30-minute half-life), the live analogue of
 ///     the offline per-grid expected arrivals w_i;
 ///   * a low-battery watchlist fed by battery telemetry — the stream-side
 ///     trigger set of the tier-two incentive mechanism (a bike enters when
-///     its reported SoC drops below the threshold and leaves on recharge).
+///     its reported SoC drops below 0.2 and leaves on recharge).
+///
+/// Demand is counted per cell of the paper's 100 m grid (kCellM).
 ///
 /// All updates are O(1) amortized; snapshots are deterministic (sorted by
 /// cell / bike id) so merged multi-shard views are byte-stable regardless
@@ -37,9 +39,6 @@ namespace esharing::stream {
 
 struct StreamStateConfig {
   data::Seconds window_length{data::kSecondsPerHour};  ///< sliding window span
-  double rate_halflife_s{1800.0};  ///< arrival-rate decay half-life
-  double low_soc_threshold{0.2};   ///< watchlist entry threshold (SoC)
-  double cell_m{100.0};            ///< demand-count cell edge (paper: 100 m)
 
   /// \throws std::invalid_argument on the first violated constraint.
   void validate() const;
@@ -61,10 +60,9 @@ struct StateSnapshot {
     std::uint64_t count{0};   ///< events currently inside the window
     double rate_per_s{0.0};   ///< decayed arrival-rate estimate
 
-    /// Centre of the cell at cell edge `cell_m`.
-    [[nodiscard]] geo::Point centroid(double cell_m) const {
-      return {(static_cast<double>(cx) + 0.5) * cell_m,
-              (static_cast<double>(cy) + 0.5) * cell_m};
+    [[nodiscard]] geo::Point centroid() const {
+      return {(static_cast<double>(cx) + 0.5) * kCellM,
+              (static_cast<double>(cy) + 0.5) * kCellM};
     }
   };
   struct WindowPoint {
@@ -80,10 +78,10 @@ struct StateSnapshot {
   [[nodiscard]] std::uint64_t window_size() const { return window.size(); }
   /// Window destinations as bare points (KS-test input), in seq order.
   [[nodiscard]] std::vector<geo::Point> window_points() const;
-  /// One demand site per cell — its centroid at cell edge `cell_m`,
-  /// weighted by its window count (`cell` left 0), in cell order. The
-  /// raw-count instance a landmark re-anchor re-solves.
-  [[nodiscard]] std::vector<data::DemandSite> demand_sites(double cell_m) const;
+  /// One demand site per cell — its centroid, weighted by its window count
+  /// (`cell` left 0), in cell order. The raw-count instance a landmark
+  /// re-anchor re-solves.
+  [[nodiscard]] std::vector<data::DemandSite> demand_sites() const;
 };
 
 class StreamState {

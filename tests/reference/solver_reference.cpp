@@ -11,6 +11,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
+// local_search's move cap and noise floor (solver/local_search.cpp).
+constexpr std::size_t kMaxIterations = 1000;
+constexpr double kMinImprovement = 1e-9;
 
 struct Star {
   std::size_t facility{0};
@@ -148,7 +151,7 @@ FlSolution local_search(const FlInstance& instance, const FlSolution& initial,
   }
   double current = evaluate(instance, cost, open);
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     double best = current;
     std::size_t best_open = nf, best_close = nf;
 
@@ -157,7 +160,7 @@ FlSolution local_search(const FlInstance& instance, const FlSolution& initial,
       open[i] = true;
       const double c = evaluate(instance, cost, open);
       open[i] = false;
-      if (c < best - options.min_improvement) {
+      if (c < best - kMinImprovement) {
         best = c;
         best_open = i;
         best_close = nf;
@@ -168,7 +171,7 @@ FlSolution local_search(const FlInstance& instance, const FlSolution& initial,
       open[i] = false;
       const double c = evaluate(instance, cost, open);
       open[i] = true;
-      if (c < best - options.min_improvement) {
+      if (c < best - kMinImprovement) {
         best = c;
         best_open = nf;
         best_close = i;
@@ -183,7 +186,7 @@ FlSolution local_search(const FlInstance& instance, const FlSolution& initial,
           open[in] = true;
           const double c = evaluate(instance, cost, open);
           open[in] = false;
-          if (c < best - options.min_improvement) {
+          if (c < best - kMinImprovement) {
             best = c;
             best_open = in;
             best_close = out;
@@ -193,7 +196,7 @@ FlSolution local_search(const FlInstance& instance, const FlSolution& initial,
       }
     }
 
-    if (best >= current - options.min_improvement) break;
+    if (best >= current - kMinImprovement) break;
     if (best_open < nf) open[best_open] = true;
     if (best_close < nf) open[best_close] = false;
     current = best;

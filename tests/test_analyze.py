@@ -4,18 +4,20 @@
 Two suites, selectable by class name (this is how CTest invokes them):
 
   python3 test_analyze.py AnalyzeFixtures        per-pass pass/fail trees
-  python3 test_analyze.py AnalyzeProductionTree  all four passes run clean
-                                                 over the real src/, and a
+  python3 test_analyze.py AnalyzeProductionTree  all five passes run clean
+                                                 over the real src/, a
                                                  mutated serialized field
-                                                 fails format-freeze
+                                                 fails format-freeze, and
+                                                 an unset ServeConfig field
+                                                 fails knob-reach
 
 AnalyzeFixtures walks tests/lint_fixtures/analyze/<pass>/: every `bad_*`
 tree must be flagged by its pass (exit 1, the rule ids listed in that
 tree's expect.txt present in the output) and every `good_*` tree must come
 back clean (exit 0, no output). Each fixture is a miniature repo — a src/
 subtree plus optional layers.txt / frozen_formats.txt config overrides
-(reachability trees also carry the entry-point sources their walk starts
-from: bench/, examples/, perfbench/src/).
+(reachability and knob-reach trees also carry the entry-point sources
+their walk starts from: bench/, examples/, perfbench/src/).
 """
 
 import re
@@ -43,6 +45,9 @@ SURFACE_FILES = (
     "src/core/incentive.cpp",
     "src/core/esharing.cpp",
 )
+
+# The trees the knob-reach pass reads: src/ and the shipped entry points.
+KNOB_TREES = ("src", "perfbench/src", "bench", "examples", "tools/flightq")
 
 
 def run_analyze(args):
@@ -181,6 +186,34 @@ class AnalyzeProductionTree(unittest.TestCase):
                              "field reorder must fail format-freeze")
             self.assertIn("serve.protocol.decls", result.stdout)
             self.assertIn("kProtocolVersion", result.stdout)
+
+    def scratch_knob_tree(self, td):
+        scratch = Path(td)
+        for rel in KNOB_TREES:
+            shutil.copytree(REPO_ROOT / rel, scratch / rel)
+        return scratch
+
+    def test_unset_serve_config_field_fails_knob_reach(self):
+        """A field added to ServeConfig that no shipped binary sets must
+        fail the knob-reach pass; the unmutated copy passes."""
+        with tempfile.TemporaryDirectory() as td:
+            scratch = self.scratch_knob_tree(td)
+            args = ["--root", str(scratch), "--pass", "knob-reach"]
+            clean = run_analyze(args)
+            self.assertEqual(clean.returncode, 0, clean.stdout)
+            header = scratch / "src" / "serve" / "daemon.h"
+            text = header.read_text()
+            mutated = text.replace(
+                "  std::uint16_t port{0};\n",
+                "  std::uint16_t port{0};\n  int unset_knob{0};\n")
+            self.assertNotEqual(text, mutated,
+                                "ServeConfig::port not found; update this "
+                                "test alongside daemon.h")
+            header.write_text(mutated)
+            result = run_analyze(args)
+            self.assertEqual(result.returncode, 1,
+                             "an unset config field must fail knob-reach")
+            self.assertIn("ServeConfig::unset_knob", result.stdout)
 
     def test_version_bump_without_digest_refresh_fails(self):
         with tempfile.TemporaryDirectory() as td:

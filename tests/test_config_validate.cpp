@@ -38,14 +38,6 @@ TEST(ESharingConfigValidate, RejectsBadPlacerFields) {
   expect_rejects(c, "placer.tolerance");
 
   c = {};
-  c.placer.window_capacity = 0;
-  expect_rejects(c, "placer.window_capacity");
-
-  c = {};
-  c.placer.ks_min_samples = 0;
-  expect_rejects(c, "placer.ks_min_samples");
-
-  c = {};
   c.placer.w_star_override = -1.0;
   expect_rejects(c, "placer.w_star_override");
 
@@ -169,10 +161,6 @@ TEST(SimConfigValidate, RejectsBadSimulationFields) {
   c.user_min_reward_lo = 5.0;
   c.user_min_reward_hi = 1.0;
   expect_rejects(c, "user_min_reward_hi");
-
-  c = {};
-  c.history_sample_cap = 0;
-  expect_rejects(c, "history_sample_cap");
 }
 
 TEST(SimConfigValidate, NestedESharingConfigIsChecked) {

@@ -388,7 +388,7 @@ TEST(ServeDaemon, IdleDaemonSleeps) {
 
 TEST(ServeDaemon, ConfigValidationRejectsBadKnobs) {
   ServeConfig bad;
-  bad.listen_backlog = 0;
+  bad.pipeline.bus.shard_count = 0;
   core::ESharing system(core::ESharingConfig{}, 43);
   const auto ks = bootstrap_system(system, 43, 600, 3000.0);
   EXPECT_THROW(ServeDaemon(system, ks, bad), std::invalid_argument);

@@ -181,23 +181,12 @@ TEST_F(SimulationFixture, EmptiedStationsAreRemovedAndReestablished) {
   // Footnote 2: few bikes over many stations means pickups repeatedly
   // empty stations; removal must fire, yet the system keeps serving and
   // may re-establish parkings online.
-  SimConfig cfg = fast_sim();
-  cfg.remove_empty_stations = true;
-  Simulation sim(city_, cfg, 11);
+  Simulation sim(city_, fast_sim(), 11);
   sim.bootstrap(history_);
   const auto metrics = sim.run(live_);
   EXPECT_GT(metrics.stations_removed, 0u);
   EXPECT_GE(metrics.stations_final, 1u);
   EXPECT_EQ(metrics.trips, live_.size());
-}
-
-TEST_F(SimulationFixture, RemovalCanBeDisabled) {
-  SimConfig cfg = fast_sim();
-  cfg.remove_empty_stations = false;
-  Simulation sim(city_, cfg, 12);
-  sim.bootstrap(history_);
-  const auto metrics = sim.run(live_);
-  EXPECT_EQ(metrics.stations_removed, 0u);
 }
 
 TEST(SimMetrics, EmptyMetricsEdgeCases) {

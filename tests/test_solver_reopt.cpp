@@ -11,7 +11,6 @@
 #include "solver/cost_oracle.h"
 #include "solver/instance_delta.h"
 #include "solver/jms_greedy.h"
-#include "solver/local_search.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -339,45 +338,6 @@ TEST(ReoptOracle, ApplyDeltaRejectsUnsyncedInstance) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-started solvers.
-// ---------------------------------------------------------------------------
-
-TEST(ReoptWarmStart, EmptySeedIsColdJmsBitIdentically) {
-  stats::Rng rng(37);
-  const auto inst = random_instance(rng, 50, 20);
-  const CostOracle oracle(inst);
-  expect_bit_identical(jms_greedy_warm(oracle, {}, {}), jms_greedy(oracle, {}));
-}
-
-TEST(ReoptWarmStart, SeededJmsIsValidAndRejectsBadSeeds) {
-  stats::Rng rng(41);
-  const auto inst = random_instance(rng, 50, 20);
-  const CostOracle oracle(inst);
-  const auto cold = jms_greedy(oracle, {});
-  const auto warm = jms_greedy_warm(oracle, cold.open, {});
-  ASSERT_EQ(warm.assignment.size(), inst.clients.size());
-  for (std::size_t f : warm.open) EXPECT_LT(f, inst.facilities.size());
-  // Seeding from the optimum-so-far cannot invent negative costs.
-  EXPECT_GT(warm.total_cost(), 0.0);
-  EXPECT_THROW(jms_greedy_warm(oracle, {inst.facilities.size()}, {}),
-               std::invalid_argument);
-}
-
-TEST(ReoptWarmStart, WarmJmsAndLocalSearchResumeFromColdPlan) {
-  stats::Rng rng(43);
-  const auto inst = random_instance(rng, 40, 16);
-  const CostOracle oracle(inst);
-  const auto cold = jms_greedy(oracle, {});
-
-  const auto warm_jms = jms_greedy_warm(oracle, cold.open, {});
-  ASSERT_EQ(warm_jms.assignment.size(), inst.clients.size());
-
-  const auto polished = local_search(inst, cold);
-  // local_search resuming from a solution is never worse than it.
-  EXPECT_LE(polished.total_cost(), cold.total_cost());
-}
-
-// ---------------------------------------------------------------------------
 // recost / assign_to_open error paths.
 // ---------------------------------------------------------------------------
 
@@ -503,19 +463,6 @@ TEST(ReoptSession, ReoptimizeToRequiresOpeningCostFn) {
   ReoptimizationSession session(random_colocated(rng, 10));
   EXPECT_THROW((void)session.reoptimize_to(session.instance().clients),
                std::logic_error);
-}
-
-TEST(ReoptSession, WarmJmsCandidateKeepsNeverWorseContract) {
-  stats::Rng rng(97);
-  ReoptOptions opt;
-  opt.warm_jms = true;
-  const auto price = [](Point) { return 2000.0; };
-  ReoptimizationSession session(random_colocated(rng, 40), opt, price);
-  std::vector<FlClient> target = session.instance().clients;
-  for (auto& c : target) c.weight *= 1.7;
-  (void)session.reoptimize_to(target);
-  EXPECT_LE(session.last_stats().final_cost,
-            session.last_stats().baseline_cost);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ TEST(StreamEventBus, ConfigValidation) {
   c.queue_capacity = 8;
   c.max_batch = 9;
   expect_rejects(c, "max_batch");
-
-  c = {};
-  c.route_cell_m = 0.0;
-  expect_rejects(c, "route_cell_m");
 }
 
 TEST(StreamEventBus, SeqStampsFollowPublishOrder) {
@@ -78,7 +74,6 @@ TEST(StreamEventBus, SeqStampsFollowPublishOrder) {
 TEST(StreamEventBus, RoutingIsCellLocalAndDeterministic) {
   EventBusConfig cfg;
   cfg.shard_count = 4;
-  cfg.route_cell_m = 100.0;
   EventBus bus(cfg);
   // Points in the same 100 m cell always land in the same shard.
   EXPECT_EQ(bus.shard_of({10.0, 10.0}), bus.shard_of({90.0, 90.0}));

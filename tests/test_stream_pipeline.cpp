@@ -308,7 +308,6 @@ TEST(StreamPipeline, WatchlistFeedsIncentiveSessions) {
   OnlineSystem sys(17);
   PipelineConfig cfg;
   cfg.bus.shard_count = 2;
-  cfg.placer.state.low_soc_threshold = 0.25;
   Pipeline pipeline(sys.system, sys.sample, cfg);
 
   // Telemetry: four low bikes, one healthy.

@@ -50,22 +50,6 @@ TEST(StreamState, ConfigValidation) {
   StreamStateConfig c;
   c.window_length = 0;
   expect_rejects(c, "window_length");
-
-  c = {};
-  c.rate_halflife_s = 0.0;
-  expect_rejects(c, "rate_halflife_s");
-
-  c = {};
-  c.low_soc_threshold = 0.0;
-  expect_rejects(c, "low_soc_threshold");
-
-  c = {};
-  c.low_soc_threshold = 1.5;
-  expect_rejects(c, "low_soc_threshold");
-
-  c = {};
-  c.cell_m = -1.0;
-  expect_rejects(c, "cell_m");
 }
 
 TEST(StreamState, WindowSlidesWithEventTime) {
@@ -88,8 +72,7 @@ TEST(StreamState, WindowSlidesWithEventTime) {
 TEST(StreamState, CellCountsTrackTheWindow) {
   StreamStateConfig cfg;
   cfg.window_length = 100;
-  cfg.cell_m = 100.0;
-  StreamState st(cfg);
+  StreamState st(cfg);  // 100 m cells
   st.ingest(trip_end({10, 10}, 0, 0));
   st.ingest(trip_end({50, 50}, 10, 1));   // same cell (0, 0)
   st.ingest(trip_end({250, 250}, 20, 2)); // cell (2, 2)
@@ -109,24 +92,21 @@ TEST(StreamState, CellCountsTrackTheWindow) {
 
 TEST(StreamState, ArrivalRateDecaysWithHalfLife) {
   StreamStateConfig cfg;
-  cfg.rate_halflife_s = 100.0;
   cfg.window_length = 100000;
-  StreamState st(cfg);
+  StreamState st(cfg);  // 1,800 s rate half-life
   st.ingest(trip_end({10, 10}, 0, 0));
   const double r0 = st.arrival_rate({10, 10}, 0);
   EXPECT_GT(r0, 0.0);
-  EXPECT_DOUBLE_EQ(st.arrival_rate({10, 10}, 100), r0 / 2.0);
-  EXPECT_DOUBLE_EQ(st.arrival_rate({10, 10}, 200), r0 / 4.0);
+  EXPECT_DOUBLE_EQ(st.arrival_rate({10, 10}, 1800), r0 / 2.0);
+  EXPECT_DOUBLE_EQ(st.arrival_rate({10, 10}, 3600), r0 / 4.0);
   EXPECT_DOUBLE_EQ(st.arrival_rate({900, 900}, 0), 0.0);  // untouched cell
   // A second arrival raises the estimate above the decayed value.
-  st.ingest(trip_end({20, 20}, 100, 1));
-  EXPECT_GT(st.arrival_rate({10, 10}, 100), r0 / 2.0);
+  st.ingest(trip_end({20, 20}, 1800, 1));
+  EXPECT_GT(st.arrival_rate({10, 10}, 1800), r0 / 2.0);
 }
 
 TEST(StreamState, WatchlistFollowsTelemetry) {
-  StreamStateConfig cfg;
-  cfg.low_soc_threshold = 0.2;
-  StreamState st(cfg);
+  StreamState st(StreamStateConfig{});  // watchlist below SoC 0.2
   st.ingest(battery(7, 0.15, {10, 10}, 0));
   st.ingest(battery(9, 0.5, {20, 20}, 1));   // healthy: not listed
   st.ingest(battery(3, 0.05, {30, 30}, 2));
