@@ -19,6 +19,11 @@ namespace {
                               std::to_string(got) + " is invalid: " + why);
 }
 
+/// The bootstrap plan, every reanchor and a restored session solve on the
+/// process-wide exec pool (ESHARING_THREADS; 1 = sequential). Every solver
+/// returns the same bits at every width.
+constexpr solver::ReoptOptions kReoptOptions{.num_threads = 0};
+
 }  // namespace
 
 void ESharingConfig::validate() const {
@@ -130,7 +135,7 @@ const solver::FlSolution& ESharing::plan_offline(
     // the former direct jms_greedy call); it stays alive so reanchor() can
     // warm re-solve against demand drift.
     reopt_ = std::make_unique<solver::ReoptimizationSession>(
-        std::move(instance), solver::ReoptOptions{}, opening_cost_fn_);
+        std::move(instance), kReoptOptions, opening_cost_fn_);
     offline_ = reopt_->solution();
   }
   offline_locations_.clear();
@@ -319,8 +324,7 @@ void ESharing::restore_reopt(std::istream& is) {
   }
   try {
     reopt_ = solver::ReoptimizationSession::from_state(
-        std::move(instance), std::move(last), solver::ReoptOptions{},
-        opening_cost_fn_);
+        std::move(instance), std::move(last), kReoptOptions, opening_cost_fn_);
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("ESharing::restore_reopt: "
                                          "inconsistent blob: ") +

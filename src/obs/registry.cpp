@@ -6,8 +6,12 @@
 namespace esharing::obs {
 
 Registry& Registry::global() {
-  static Registry instance;
-  return instance;
+  // Never destroyed. Exec pool workers are joined during static
+  // destruction, and each flushes its thread_local CounterShards into
+  // these counters as it exits; a registry constructed after the pool
+  // would already be gone by then.
+  static Registry* const instance = new Registry;
+  return *instance;
 }
 
 void Registry::check_kind(std::string_view name, Kind kind) {

@@ -81,6 +81,9 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// The process-wide registry every instrumentation site records into.
+  /// It lives until the process ends, so a metric reference stays valid in
+  /// thread_local and static destructors too; a sink set on it is never
+  /// destroyed, so clear it (`set_event_sink(nullptr)`) to close a file.
   static Registry& global();
 
   /// Find-or-create by name. References stay valid for the registry's

@@ -73,13 +73,13 @@ void CostOracle::materialize_row(std::size_t facility,
   const std::size_t nc = client_x_.size();
   const double fx = instance_->facilities[facility].location.x;
   const double fy = instance_->facilities[facility].location.y;
-  std::vector<double> r(nc);
+  std::vector<double>& r = rows_[facility];
+  r.resize(nc);
   // SoA kernel: the exact FlInstance::connection_cost expression
   // a_j * hypot(fx - cx, fy - cy), streamed over contiguous planes.
   for (std::size_t j = 0; j < nc; ++j) {
     r[j] = client_w_[j] * std::hypot(fx - client_x_[j], fy - client_y_[j]);
   }
-  rows_[facility] = std::move(r);
   state.store(kReady, std::memory_order_release);
 }
 
@@ -131,11 +131,11 @@ const std::vector<std::pair<double, std::size_t>>& CostOracle::sorted_row(
                                     std::memory_order_acquire)) {
     if (obs::enabled()) OracleMetrics::get().sorted_materializations.add();
     const std::vector<double>& r = row(facility);
-    std::vector<std::pair<double, std::size_t>> sorted;
+    std::vector<std::pair<double, std::size_t>>& sorted =
+        sorted_rows_[facility];
     sorted.reserve(r.size());
     for (std::size_t j = 0; j < r.size(); ++j) sorted.emplace_back(r[j], j);
     std::sort(sorted.begin(), sorted.end());
-    sorted_rows_[facility] = std::move(sorted);
     state.store(kReady, std::memory_order_release);
   } else {
     while (state.load(std::memory_order_acquire) != kReady) {
@@ -162,6 +162,18 @@ void CostOracle::ensure_rows(std::size_t begin, std::size_t end,
 
 void CostOracle::ensure_all_rows(std::size_t width) const {
   ensure_rows(0, rows_.size(), width);
+}
+
+void CostOracle::reserve_rows() const {
+  const std::size_t nc = client_x_.size();
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (row_state_[i].load(std::memory_order_acquire) == kEmpty) {
+      rows_[i].reserve(nc);
+    }
+    if (sorted_state_[i].load(std::memory_order_acquire) == kEmpty) {
+      sorted_rows_[i].reserve(nc);
+    }
+  }
 }
 
 void CostOracle::apply_delta(const InstanceDelta& delta) {

@@ -92,6 +92,15 @@ class CostOracle {
   /// ensure_rows over every facility.
   void ensure_all_rows(std::size_t width = 0) const;
 
+  /// Allocate the storage of every row and sorted row not built yet, on
+  /// the calling thread, in the order a sequential scan builds them (row
+  /// i, then its sorted row). Pool workers that build them afterwards
+  /// only fill that storage, so the rows stay in the caller's malloc
+  /// arena instead of spreading over the workers' arenas, and the heap
+  /// does not depend on which worker built which row. Unlike row(), it
+  /// must not run while another thread builds a row of this oracle.
+  void reserve_rows() const;
+
   /// Re-synchronize with the underlying instance after `delta` was applied
   /// to it (see the delta contract in the file comment). Requires
   /// exclusive access; bumps revision().

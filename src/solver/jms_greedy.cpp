@@ -211,6 +211,9 @@ FlSolution jms_greedy(const CostOracle& oracle, const JmsOptions& options) {
   // what a full rescan would compute, star for star, so the winner below
   // is the full rescan's winner.
   std::vector<CachedStar> stars(nf);
+  // The first scan builds every row and sorted row, on the pool when
+  // threads > 1; their storage comes from this thread.
+  oracle.reserve_rows();
   std::vector<ClientChange> switched;
   std::vector<ClientChange> connected;
   std::size_t last_opened = kUnassigned;  // none before the first scan

@@ -66,7 +66,9 @@ struct JmsOptions {
                                     const JmsOptions& options);
 [[nodiscard]] FlSolution jms_greedy(const FlInstance& instance);
 
-/// Run against an existing oracle (shared with other solver passes).
+/// Run against an existing oracle (shared with other solver passes). It
+/// first calls oracle.reserve_rows(), so no other thread may build rows of
+/// the same oracle while it runs.
 [[nodiscard]] FlSolution jms_greedy(const CostOracle& oracle,
                                     const JmsOptions& options = {});
 

@@ -44,7 +44,6 @@ namespace esharing::solver {
 struct ReoptOptions {
   /// Lanes on the exec pool for the solves: 0 = process-wide pool width
   /// (ESHARING_THREADS), 1 = sequential. Outputs identical for any value.
-  // analyze-ok: knob-reach swept by the ReoptThreads tests; shipped callers pass ReoptOptions{}
   std::size_t num_threads{1};
 };
 

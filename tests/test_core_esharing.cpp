@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "exec/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/registry.h"
 #include "stats/rng.h"
 #include "stats/spatial.h"
 
@@ -187,6 +194,112 @@ TEST(ESharing, OnlineOpeningExtendsParkingList) {
         {rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)});
   }
   EXPECT_GT(sys.parking_locations().size(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Determinism across pool widths (suite name matches the CI thread-matrix
+// and TSan leg regexes).
+// ---------------------------------------------------------------------------
+
+/// Everything a plan/reanchor/restore sequence leaves behind, with costs as
+/// their bit patterns so equality means byte equality.
+struct PoolRun {
+  std::vector<std::vector<std::size_t>> open;
+  std::vector<std::vector<std::size_t>> assignment;
+  std::vector<std::uint64_t> cost_bits;
+  std::string checkpoint;        ///< save_reopt after the third reanchor
+  std::string final_checkpoint;  ///< the restored system after one more
+  double jms_threads{0.0};       ///< solver.jms_greedy.num_threads
+};
+
+/// `sites` drifted one epoch: a third of the demand re-weighted, the last
+/// five sites gone and eight new ones.
+void drift(std::vector<DemandSite>& sites, stats::Rng& rng,
+           std::size_t& next_cell) {
+  for (std::size_t i = 0; i < sites.size(); i += 3) {
+    sites[i].arrivals *= rng.uniform(0.5, 2.0);
+  }
+  sites.resize(sites.size() - 5);
+  for (Point p : stats::uniform_points(rng, {{0, 0}, {3000, 3000}}, 8)) {
+    sites.push_back({p, rng.uniform(0.5, 20.0), next_cell++});
+  }
+}
+
+/// RAII width override so a failing check cannot leak a wide pool into
+/// later tests.
+struct ScopedThreads {
+  std::size_t original;
+  explicit ScopedThreads(std::size_t width) : original(exec::global_threads()) {
+    exec::set_global_threads(width);
+  }
+  ~ScopedThreads() { exec::set_global_threads(original); }
+};
+
+/// Gauge reads need the obs layer on (it is off by default in tests).
+struct ScopedObsEnabled {
+  ScopedObsEnabled() { obs::set_enabled(true); }
+  ~ScopedObsEnabled() { obs::set_enabled(false); }
+};
+
+PoolRun plan_reanchor_restore(std::size_t width) {
+  const ScopedThreads threads(width);
+  const auto opening = [](Point p) { return 1500.0 + 0.5 * p.x; };
+  stats::Rng rng(71);
+  std::vector<DemandSite> sites;
+  std::size_t next_cell = 0;
+  for (Point p : stats::uniform_points(rng, {{0, 0}, {3000, 3000}}, 300)) {
+    sites.push_back({p, rng.uniform(0.5, 20.0), next_cell++});
+  }
+  const std::vector<DemandSite> bootstrap = sites;
+
+  PoolRun run;
+  const auto record = [&run](const solver::FlSolution& sol) {
+    run.open.push_back(sol.open);
+    run.assignment.push_back(sol.assignment);
+    run.cost_bits.push_back(std::bit_cast<std::uint64_t>(sol.connection_cost));
+    run.cost_bits.push_back(std::bit_cast<std::uint64_t>(sol.opening_cost));
+  };
+  ESharing sys(default_config(), 72);
+  {
+    const ScopedObsEnabled obs_on;
+    record(sys.plan_offline(sites, opening));
+    run.jms_threads =
+        obs::Registry::global().gauge("solver.jms_greedy.num_threads").value();
+  }
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    drift(sites, rng, next_cell);
+    record(sys.reanchor(sites));
+  }
+  std::ostringstream saved;
+  sys.save_reopt(saved);
+  run.checkpoint = saved.str();
+
+  ESharing restored(default_config(), 72);
+  (void)restored.plan_offline(bootstrap, opening);
+  std::istringstream blob(run.checkpoint);
+  restored.restore_reopt(blob);
+  drift(sites, rng, next_cell);
+  record(restored.reanchor(sites));
+  std::ostringstream final_saved;
+  restored.save_reopt(final_saved);
+  run.final_checkpoint = final_saved.str();
+  return run;
+}
+
+TEST(ReoptThreads, ESharingPlanReanchorRestoreBitIdenticalAtEveryPoolWidth) {
+  const PoolRun sequential = plan_reanchor_restore(1);
+  for (const std::size_t width : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    const PoolRun pooled = plan_reanchor_restore(width);
+    // The bootstrap JMS ran on the whole pool, not on the caller alone.
+    EXPECT_EQ(pooled.jms_threads, static_cast<double>(width));
+    EXPECT_EQ(pooled.open, sequential.open);
+    EXPECT_EQ(pooled.assignment, sequential.assignment);
+    EXPECT_EQ(pooled.cost_bits, sequential.cost_bits);
+    EXPECT_EQ(pooled.checkpoint, sequential.checkpoint);
+    EXPECT_EQ(pooled.final_checkpoint, sequential.final_checkpoint);
+  }
+  EXPECT_EQ(sequential.jms_threads, 1.0);
 }
 
 }  // namespace
