@@ -27,6 +27,7 @@ namespace esharing::sim {
 struct MicroSimConfig {
   core::ESharingConfig esharing;
   energy::EnergyConfig energy;  // analyze-ok: knob-reach synthetic-data fixture
+  // analyze-ok: knob-reach synthetic-data fixture: the simulated opening-cost field
   double mean_opening_cost{10000.0};
   double walk_radius_m{400.0};   ///< how far a rider walks to reach a bike
   std::size_t n_operators{1};

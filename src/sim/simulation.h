@@ -26,6 +26,7 @@ namespace esharing::sim {
 struct SimConfig {
   core::ESharingConfig esharing;
   energy::EnergyConfig energy;  // analyze-ok: knob-reach synthetic-data fixture
+  // analyze-ok: knob-reach synthetic-data fixture: the simulated opening-cost field
   double mean_opening_cost{10000.0};  ///< f_i mean, meters-equivalent (paper: 10 km)
   data::Seconds charging_period{data::kSecondsPerDay};  ///< one round per period
   /// User-behaviour sampling ranges (Eq. 13 thresholds): the synthetic

@@ -51,6 +51,7 @@ namespace esharing::stream {
 struct PipelineConfig {
   EventBusConfig bus;
   PlacerDriverConfig placer;
+  // analyze-ok: knob-reach a second copy of ESharingConfig::incentive until ROADMAP item 4 merges them
   core::IncentiveConfig incentive;
   /// Lane width of the parallel shard stages: 0 = exec pool width,
   /// 1 = sequential (the single-threaded reference execution), n = up to

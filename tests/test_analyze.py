@@ -134,6 +134,15 @@ class AnalyzeFixtures(unittest.TestCase):
         for f in findings:
             self.assertEqual(set(f), {"path", "line", "rule", "message"})
 
+    def test_spelled_type_sets_count_only_for_that_struct(self):
+        """`BetaConfig{.x = 1}` and `beta.y = 2` on a local `BetaConfig
+        beta` set BetaConfig's members, not AlphaConfig's namesakes."""
+        tree = FIXTURES / "knob-reach" / "bad_same_name_elsewhere"
+        result = run_analyze(tree_args("knob-reach", tree))
+        flagged = set(re.findall(r"(\w+::\w+) is never assigned",
+                                 result.stdout))
+        self.assertEqual(flagged, {"AlphaConfig::x", "AlphaConfig::y"})
+
 
 class AnalyzeProductionTree(unittest.TestCase):
     def test_all_passes_are_clean(self):

@@ -39,10 +39,13 @@ analysis & determinism contracts"):
                   `*Tunables` struct in src/ is assigned (`x.a.b = v`, each
                   member of the path counting) or designated-initialised
                   (`{.b = v}`) in a file the reachability walk reaches
-                  (knob-reach).  A member, or the `struct` line for the
-                  whole struct, waives itself with `analyze-ok: knob-reach
-                  <reason>`.  Known limit: members are matched by name, so
-                  setting `A::x` also counts for any other struct's `x`.
+                  (knob-reach).  Where the type is spelled (`T{.b = v}`,
+                  or `x.b = v` on a `T x` declared in the same file) the
+                  set counts only for `T::b`.  A member, or the `struct`
+                  line for the whole struct, waives itself with
+                  `analyze-ok: knob-reach <reason>`.  Known limit: an
+                  unspelled set (a brace passed to a call, a data member's
+                  path) still counts for every member of that name.
 
 The lock-order pass is intentionally an over-approximation: inter-procedural
 edges flow through a name-merged call graph (methods with the same unqualified
@@ -1064,19 +1067,37 @@ def reachability_pass(root: Path) -> list:
 # src/ must be assigned (`x.name = ...`) or designated-initialised
 # (`{.name = ...}`) in a file of the reachability pass's reached set.  In a
 # path such as `cfg.placer.state.window_length = v` every member after the
-# variable counts as set.  Known limit: matching is by member name, so when
-# two structs have members with the same name, setting either counts for
-# both.  A member, or the `struct` line for all of its members, waives
+# variable counts as set.  Where the struct type is spelled, a set counts
+# only for that struct's member: a designated initialiser `T{.m = v}` (or
+# `T x{.m = v}`, `T x = {.m = v}`), and `x.m = v` on a variable declared
+# `T x` earlier in the same file, so `offer.incentive = v` on an `Offer
+# offer` sets no knob at all.  Nested paths and nested braces follow
+# the declared member types (`cfg.placer.ks_period` with `cfg` an
+# `ESharingConfig` sets `DeviationPlacerConfig::ks_period`).  Where the
+# type is not spelled (a brace passed straight to a call, a data member,
+# an `auto` local), the set counts for every member of that name: a known
+# limit.  A member, or the `struct` line for all of its members, waives
 # itself with `analyze-ok: knob-reach <reason>`.
 # ==========================================================================
 
-KNOB_STRUCT_RE = re.compile(r"\bstruct\s+(\w+(?:Config|Options|Tunables))\s*\{")
+KNOB_TYPE = r"\w+(?:Config|Options|Tunables)"
+KNOB_STRUCT_RE = re.compile(rf"\bstruct\s+({KNOB_TYPE})\s*\{{")
 KNOB_SKIP_RE = re.compile(
     r"^(?:static|using|friend|typedef|enum|struct|class|template)\b")
 ACCESS_RE = re.compile(r"^(?:public|private|protected)\s*:")
 ASSIGN_PATH_RE = re.compile(
     r"\b\w+(?:\s*(?:\.|->)\s*\w+)+(?=\s*=(?!=))")
-DESIGNATED_RE = re.compile(r"[{,]\s*\.\s*(\w+)\s*=(?!=)")
+# A variable declared with a class type (`T x`, `const T& x`, `T* p`; the
+# project spells class names in CamelCase), or with `auto`, whose type the
+# pass then treats as unknown.
+DECL_RE = re.compile(
+    r"\b(?:([A-Z]\w*)\b(?:\s*const\b)?|auto)\s*[&*]*\s*(\w+)\s*"
+    r"(?=[;{=(),\[]|:(?!:))")
+# The text before a `{` that spells its type: `T`, `T x` or `T x =`.
+TYPED_BRACE_RE = re.compile(rf"\b({KNOB_TYPE})\s*(?:[&*]*\s*\w+\s*=?\s*)?$")
+# The text before a `{` that is the value of a designator `.m =`.
+MEMBER_BRACE_RE = re.compile(r"\.\s*(\w+)\s*=\s*$")
+BRACE_TOKEN_RE = re.compile(r"[{}]|(?<=[{,])\s*\.\s*(\w+)\s*=(?!=)")
 
 
 def drop_template_args(text: str) -> str:
@@ -1087,9 +1108,10 @@ def drop_template_args(text: str) -> str:
 
 
 def knob_members(code: str, body_start: int, body_end: int):
-    """(name, offset) for each data member declared at the top level of a
-    struct body `code[body_start:body_end]`: methods, nested types, static
-    and using declarations are skipped."""
+    """(name, offset, type) for each data member declared at the top level
+    of a struct body `code[body_start:body_end]`, `type` being the last
+    name of its declared type without template arguments or namespace:
+    methods, nested types, static and using declarations are skipped."""
     members = []
     depth, start = 0, body_start
     i = body_start
@@ -1118,14 +1140,17 @@ def knob_members(code: str, body_start: int, body_end: int):
                     "(" not in drop_template_args(stmt):
                 m = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", decl)
                 if m:
-                    members.append((m.group(1), start + m.start(1)))
+                    words = re.findall(r"\w+",
+                                       drop_template_args(decl[:m.start(1)]))
+                    members.append((m.group(1), start + m.start(1),
+                                    words[-1] if words else ""))
             start = i + 1
         i += 1
     return members
 
 
 def knob_structs(root: Path):
-    """(path, struct name, struct line, [(member, line)]) for every
+    """(path, struct name, struct line, [(member, line, type)]) for every
     `*Config`/`*Options`/`*Tunables` struct defined in src/."""
     out = []
     for path in src_files(root):
@@ -1134,20 +1159,52 @@ def knob_structs(root: Path):
             close = match_brace(code, m.end() - 1)
             if close < 0:
                 continue
-            members = [(name, line_of(code, off))
-                       for name, off in knob_members(code, m.end(), close)]
+            members = [(name, line_of(code, off), typ) for name, off, typ
+                       in knob_members(code, m.end(), close)]
             out.append((path, m.group(1), line_of(code, m.start()), members))
     return out
 
 
-def assigned_member_names(paths) -> set:
-    names = set()
+def set_member_keys(paths, member_types: dict) -> set:
+    """(struct, member) for every member the files in `paths` set; struct
+    is None where the code does not spell the type.  `member_types` maps
+    (struct, member) to the member's type for members that are themselves
+    knob structs."""
+    keys = set()
+
+    def walk(typ, names):
+        for name in names:
+            keys.add((typ, name))
+            typ = member_types.get((typ, name)) if typ else None
+
     for path in paths:
         code = strip_comments(path.read_text(), strip_strings=True)
+        decls = {}  # variable -> [(offset, declared type or None)]
+        for m in DECL_RE.finditer(code):
+            decls.setdefault(m.group(2), []).append((m.start(), m.group(1)))
         for m in ASSIGN_PATH_RE.finditer(code):
-            names.update(re.findall(r"\w+", m.group(0))[1:])
-        names.update(m.group(1) for m in DESIGNATED_RE.finditer(code))
-    return names
+            head, *names = re.findall(r"\w+", m.group(0))
+            earlier = [t for off, t in decls.get(head, ()) if off < m.start()]
+            walk(earlier[-1] if earlier else None, names)
+        stack = []  # the spelled type of each open brace, or None
+        for m in BRACE_TOKEN_RE.finditer(code):
+            if m.group(0) == "{":
+                before = code[max(0, m.start() - 160):m.start()]
+                typed = TYPED_BRACE_RE.search(before)
+                member = MEMBER_BRACE_RE.search(before)
+                if typed:
+                    stack.append(typed.group(1))
+                elif member and stack and stack[-1]:
+                    stack.append(member_types.get((stack[-1],
+                                                   member.group(1))))
+                else:
+                    stack.append(None)
+            elif m.group(0) == "}":
+                if stack:
+                    stack.pop()
+            else:
+                walk(stack[-1] if stack else None, [m.group(1)])
+    return keys
 
 
 def knob_waived(lines: list[str], lineno: int) -> bool:
@@ -1165,14 +1222,20 @@ def knob_waived(lines: list[str], lineno: int) -> bool:
 
 def knob_reach_pass(root: Path) -> list:
     findings = []
-    assigned = assigned_member_names(
-        p for p in sorted(reached_files(root)) if p.suffix in (".h", ".cpp"))
-    for path, struct, struct_line, members in knob_structs(root):
+    structs = knob_structs(root)
+    member_types = {(struct, name): typ for _, struct, _, members in structs
+                    for name, _, typ in members
+                    if re.fullmatch(KNOB_TYPE, typ)}
+    keys = set_member_keys(
+        (p for p in sorted(reached_files(root))
+         if p.suffix in (".h", ".cpp")), member_types)
+    for path, struct, struct_line, members in structs:
         lines = path.read_text().splitlines()
         if knob_waived(lines, struct_line):
             continue
-        for name, line in members:
-            if name in assigned or knob_waived(lines, line):
+        for name, line, _ in members:
+            if (struct, name) in keys or (None, name) in keys or \
+                    knob_waived(lines, line):
                 continue
             findings.append(Finding(
                 path, line, "knob-reach",
