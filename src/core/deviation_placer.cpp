@@ -7,7 +7,6 @@
 
 #include "data/wire.h"
 #include "obs/registry.h"
-#include "stats/ks2d.h"
 
 namespace esharing::core {
 
@@ -179,8 +178,11 @@ solver::OnlineDecision DeviationPenaltyPlacer::process(Point dest,
 
 void DeviationPenaltyPlacer::maybe_run_ks_test() {
   if (history_.empty() || window_.size() < kKsMinSamples) return;
-  const std::vector<Point> current(window_.begin(), window_.end());
-  const auto result = stats::ks2d_test(history_, current);
+  // Built on the first check, so a placer that never checks (or a restored
+  // one until it does) does not sort its history.
+  if (history_ref_.empty()) history_ref_ = stats::Ks2dReference(history_);
+  ks_window_.assign(window_.begin(), window_.end());
+  const auto result = stats::ks2d_test(history_ref_, ks_window_, ks_scratch_);
   last_similarity_ = result.similarity;
   if (obs::enabled()) {
     PlacerMetrics::get().ks_tests.add();

@@ -51,6 +51,7 @@
 #include "geo/point.h"
 #include "geo/spatial_index.h"
 #include "solver/meyerson.h"
+#include "stats/ks2d.h"
 #include "stats/rng.h"
 
 namespace esharing::core {
@@ -187,7 +188,12 @@ class DeviationPenaltyPlacer {
   std::size_t opens_since_double_{0};  ///< the algorithm's counter a
   PenaltyFunction penalty_;
   std::vector<geo::Point> history_;    ///< H(x, y)
+  stats::Ks2dReference history_ref_;   ///< history_ for the KS test (lazy)
   std::deque<geo::Point> window_;      ///< current sample G
+  /// KS-test buffers reused across checks: window_ copied contiguous and
+  /// the test's scratch.
+  std::vector<geo::Point> ks_window_;
+  stats::Ks2dScratch ks_scratch_;
   double connection_cost_{0.0};
   double last_similarity_{100.0};
   std::size_t requests_seen_{0};

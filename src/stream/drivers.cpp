@@ -100,9 +100,11 @@ OnlinePlacerDriver::OnlinePlacerDriver(core::ESharing& system,
     states_.emplace_back(config_.state);
   }
   regimes_.assign(bus.shard_count(), ShardRegime{});
-  shard_history_.assign(bus.shard_count(), {});
-  for (Point p : historical_sample) {
-    shard_history_[bus.shard_of(p)].push_back(p);
+  std::vector<std::vector<Point>> slices(bus.shard_count());
+  for (Point p : historical_sample) slices[bus.shard_of(p)].push_back(p);
+  shard_ks_.resize(bus.shard_count());
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    shard_ks_[s].reference = stats::Ks2dReference(slices[s]);
   }
 }
 
@@ -287,13 +289,16 @@ void OnlinePlacerDriver::run_reanchor() {
 }
 
 void OnlinePlacerDriver::run_regime_check(std::size_t shard) {
-  const auto& history = shard_history_[shard];
-  const auto window = states_[shard].window_points();
-  if (history.empty() || window.size() < config_.regime_min_samples) return;
+  ShardKs& ks = shard_ks_[shard];
+  if (ks.reference.empty() ||
+      states_[shard].window_size() < config_.regime_min_samples) {
+    return;
+  }
+  states_[shard].window_points(ks.window);
   // Always Fasano–Franceschini (limit 0): sharding shrinks windows, and an
-  // exact O((n+m)^3) Peacock check below the batch-path limit is the
-  // "8-shard cliff" (EXPERIMENTS.md "Stream shard scaling").
-  const auto result = stats::ks2d_test(history, window, 0);
+  // exact Peacock check below the batch-path limit is the "8-shard cliff"
+  // (EXPERIMENTS.md "Stream shard scaling").
+  const auto result = stats::ks2d_test(ks.reference, ks.window, ks.scratch, 0);
   ShardRegime& regime = regimes_[shard];
   regime.similarity = result.similarity;
   ++regime.checks;
@@ -304,7 +309,7 @@ void OnlinePlacerDriver::run_regime_check(std::size_t shard) {
         "stream.regime_check",
         {{"shard", shard},
          {"similarity", result.similarity},
-         {"window", window.size()}});
+         {"window", ks.window.size()}});
   }
 }
 

@@ -8,13 +8,13 @@
 ///     DeviationPenaltyPlacer (Algorithm 2) exactly as the batch replay
 ///     would, and runs the periodic 2-D KS regime check on the per-shard
 ///     sliding windows of StreamState instead of re-scanning full history.
-///     Sharding makes the check cheap twice over: each shard's window holds
-///     only its cells' destinations (the O(n^2) Fasano–Franceschini
-///     statistic shrinks quadratically with the shard count), and the
-///     reference sample is partitioned once at construction with the same
-///     cell router, so shard-local current-vs-historical comparisons are
-///     statistically like-for-like (the stratified analogue of Table IV's
-///     per-region blocks).
+///     The reference sample is partitioned once at construction with the
+///     same cell router, so shard-local current-vs-historical comparisons
+///     are statistically like-for-like (the stratified analogue of Table
+///     IV's per-region blocks), and each shard's slice is prepared once as
+///     a stats::Ks2dReference: a check sorts only the shard's window and
+///     sweeps it in O((n+m) log(n+m)), reusing the shard's scratch, so it
+///     allocates nothing in steady state.
 ///
 ///   * IncentiveDriver — tier two off the watchlist: builds incentive
 ///     sessions (Algorithm 3) from the merged low-battery watchlist and
@@ -36,6 +36,7 @@
 #include "core/incentive.h"
 #include "geo/spatial_index.h"
 #include "ml/batch.h"
+#include "stats/ks2d.h"
 #include "stream/event.h"
 #include "stream/event_bus.h"
 #include "stream/stream_state.h"
@@ -146,7 +147,7 @@ class OnlinePlacerDriver {
   /// Shard-local half of consume_batch(): fold one shard's FIFO subsequence into
   /// its StreamState and regime counters, firing cadenced KS checks. Safe
   /// to run concurrently for distinct shards — it reads and writes only
-  /// states_[shard] / regimes_[shard] / shard_history_[shard].
+  /// states_[shard] / regimes_[shard] / shard_ks_[shard].
   void ingest_shard(std::size_t shard, const Event* events, std::size_t n);
   /// Global half: seq-order counters, the tier-one decision, and the
   /// re-anchor cadence. Must run sequentially in merged seq order, after
@@ -160,7 +161,14 @@ class OnlinePlacerDriver {
   PlacerDriverConfig config_;
   std::vector<StreamState> states_;
   std::vector<ShardRegime> regimes_;
-  std::vector<std::vector<geo::Point>> shard_history_;
+  /// One shard's regime-check state: its slice of the historical sample
+  /// and the buffers each check reuses.
+  struct ShardKs {
+    stats::Ks2dReference reference;
+    stats::Ks2dScratch scratch;
+    std::vector<geo::Point> window;
+  };
+  std::vector<ShardKs> shard_ks_;
   /// consume_batch scratch (one FIFO bucket per shard), kept across calls
   /// so a steady-state batch allocates nothing.
   std::vector<std::vector<Event>> per_shard_;

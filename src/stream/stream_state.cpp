@@ -128,11 +128,9 @@ void StreamState::ingest(const Event& e) {
   evict(now_);
 }
 
-std::vector<geo::Point> StreamState::window_points() const {
-  std::vector<geo::Point> pts;
-  pts.reserve(window_size());
-  for (const auto& w : live_window()) pts.push_back(w.where);
-  return pts;
+void StreamState::window_points(std::vector<geo::Point>& out) const {
+  out.clear();  // push_back grows geometrically, unlike an exact reserve
+  for (const auto& w : live_window()) out.push_back(w.where);
 }
 
 std::vector<geo::Point> StateSnapshot::window_points() const {

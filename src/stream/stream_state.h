@@ -105,8 +105,9 @@ class StreamState {
   [[nodiscard]] std::uint64_t events_ingested() const { return ingested_; }
 
   /// Destinations currently inside the sliding window, in arrival (seq)
-  /// order — the sample G the stream-side KS regime check runs on.
-  [[nodiscard]] std::vector<geo::Point> window_points() const;
+  /// order — the sample G the stream-side KS regime check runs on —
+  /// written over `out`, reusing its capacity.
+  void window_points(std::vector<geo::Point>& out) const;
 
   /// Decayed arrival-rate estimate (events/s) of the cell containing `p`,
   /// evaluated at time `at`.

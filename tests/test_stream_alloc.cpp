@@ -6,9 +6,10 @@
 /// and while the same N trip ends go straight to ESharing::handle_request
 /// on an identically bootstrapped system. The round may not allocate more
 /// than Algorithm 2 does on its own: the bus, the lane and merge stages,
-/// the consume stage and the decision hand-back allocate nothing of their
-/// own in steady state. Its own executable, because replacing the global
-/// operator new would count every other test's allocations too.
+/// the consume stage with its cadenced per-shard KS regime checks, and the
+/// decision hand-back allocate nothing of their own in steady state. Its
+/// own executable, because replacing the global operator new would count
+/// every other test's allocations too.
 
 #include <gtest/gtest.h>
 
@@ -116,9 +117,20 @@ std::uint64_t handle_request_allocations(const std::vector<Event>& requests) {
   return t_allocations - before;
 }
 
+/// Regime checks run so far, summed over the pipeline's shards.
+std::uint64_t regime_checks(const Pipeline& pipeline) {
+  const OnlinePlacerDriver& driver = pipeline.placer_driver();
+  std::uint64_t checks = 0;
+  for (std::size_t s = 0; s < driver.shard_count(); ++s) {
+    checks += driver.shard_regime(s).checks;
+  }
+  return checks;
+}
+
 /// Allocations made by one-event publish + pump_decisions rounds over the
 /// measured requests, after the same warm-up. Also checks that every round
-/// answers its one request.
+/// answers its one request, and that the stream-side KS regime check (at
+/// its default cadence) ran during the measured rounds.
 std::uint64_t pipeline_allocations(const std::vector<Event>& requests,
                                    std::size_t lanes) {
   core::ESharing system(core::ESharingConfig{}, kSeed);
@@ -126,10 +138,6 @@ std::uint64_t pipeline_allocations(const std::vector<Event>& requests,
   PipelineConfig cfg;
   cfg.bus.shard_count = 2;
   cfg.lanes = lanes;
-  // The stream-side KS regime check is cadenced statistics work (one
-  // two-sample test per 512 trip ends per shard) that allocates its
-  // samples; it is not part of the per-round cost this test pins.
-  cfg.placer.regime_check_period = 0;
   Pipeline pipeline(system, std::move(reference), cfg);
   std::size_t answered = 0;
   const Pipeline::DecisionCallback on_decision =
@@ -141,20 +149,17 @@ std::uint64_t pipeline_allocations(const std::vector<Event>& requests,
     EXPECT_EQ(pipeline.pump_decisions(on_decision), 1u);
   };
   for (std::size_t i = 0; i < kWarmup; ++i) round(requests[i]);
+  const std::uint64_t checks_before = regime_checks(pipeline);
   const std::uint64_t before = t_allocations;
   for (std::size_t i = kWarmup; i < requests.size(); ++i) round(requests[i]);
   const std::uint64_t made = t_allocations - before;
   EXPECT_EQ(answered, requests.size());
+  EXPECT_GT(regime_checks(pipeline), checks_before)
+      << "no KS regime check ran during the measured rounds";
   return made;
 }
 
 void expect_no_allocations_of_its_own(std::size_t lanes) {
-  // Algorithm 2's own KS check fans out over the pool, and how often a
-  // worker deque allocates a node depends on steal timing. A one-worker
-  // pool runs that check inline, so both sides count exactly the same
-  // allocations for it; the pipeline's lane fan-out (none, for a
-  // one-event round) is still decided by `lanes`.
-  exec::set_global_threads(1);
   const auto requests = decide_requests();
   const std::uint64_t alone = handle_request_allocations(requests);
   const std::uint64_t piped = pipeline_allocations(requests, lanes);
@@ -170,6 +175,16 @@ TEST(StreamAlloc, OneEventRoundAllocatesNothingOfItsOwnAtOneLane) {
 
 TEST(StreamAlloc, OneEventRoundAllocatesNothingOfItsOwnAtFourLanes) {
   expect_no_allocations_of_its_own(4);
+}
+
+TEST(StreamAlloc, HandleRequestAllocationsRepeatAtPoolWidthFour) {
+  // Algorithm 2's KS check runs on the calling thread, so identically
+  // seeded systems allocate identically whatever the pool's steal timing.
+  exec::set_global_threads(4);
+  const auto requests = decide_requests();
+  const std::uint64_t first = handle_request_allocations(requests);
+  const std::uint64_t second = handle_request_allocations(requests);
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

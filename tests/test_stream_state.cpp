@@ -62,7 +62,8 @@ TEST(StreamState, WindowSlidesWithEventTime) {
   // t=150: entries at 0 and 50 are both stale (time <= now - length).
   st.ingest(trip_end({30, 30}, 150, 2));
   EXPECT_EQ(st.window_size(), 1u);
-  const auto pts = st.window_points();
+  std::vector<Point> pts{{1, 1}, {2, 2}, {3, 3}};  // overwritten
+  st.window_points(pts);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_DOUBLE_EQ(pts[0].x, 30.0);
   EXPECT_EQ(st.events_ingested(), 3u);
